@@ -24,7 +24,6 @@ from .errors import (
     EmptyBlock,
     NumericsError,
     ProjectionFailed,
-    RankMismatch,
     SingularGram,
 )
 from .gaussnewton import refine_least_squares

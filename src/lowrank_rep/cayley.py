@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainViolation,
+    InaccurateSolve,
     NotOrthonormal,
     TopBlockNotPD,
 )
@@ -167,14 +168,18 @@ def _as_frame_matrix(U):
     return U
 
 
-def skew_embed(phi):
-    """Skew-symmetric p x p matrix [[0, -A^T], [A, 0]] from chart coordinates."""
-    p, r = phi.p, phi.r
-    A = phi.A
-    X = np.zeros((p, p))
+def _skew_of_rows(A):
+    # [[0, -A^T], [A, 0]] for a (p - r) x r block A
+    pmr, r = A.shape
+    X = np.zeros((pmr + r, pmr + r))
     X[r:, :r] = A
     X[:r, r:] = -A.T
     return X
+
+
+def skew_embed(phi):
+    """Skew-symmetric p x p matrix [[0, -A^T], [A, 0]] from chart coordinates."""
+    return _skew_of_rows(phi.A)
 
 
 def _solve_against(X, B):
@@ -184,17 +189,25 @@ def _solve_against(X, B):
     Z = np.linalg.solve(M, B)
     resid = np.linalg.norm(M @ Z - B)
     if resid > SOLVE_RTOL * max(np.linalg.norm(B), 1e-300):
-        raise ArithmeticError(f"linear solve residual {resid:.3e} too large")
+        raise InaccurateSolve(
+            f"(I - X) solve: residual {resid:.3e} exceeds "
+            f"{SOLVE_RTOL:.0e} * ||B|| = {SOLVE_RTOL * np.linalg.norm(B):.3e}"
+        )
     return Z
+
+
+def _frame_of_rows(A):
+    # (I + X)(I - X)^{-1} I_{p x r} for any real (p - r) x r block A.  I - X
+    # is nonsingular for every skew X, so this also holds outside the chart
+    # ball; callers that need a chart point validate the domain themselves.
+    X = _skew_of_rows(A)
+    Z = _solve_against(X, np.eye(X.shape[0])[:, : A.shape[1]])
+    return Z + X @ Z
 
 
 def cayley_map(phi):
     """Frame U(phi) = (I + X)(I - X)^{-1} I_{p x r}."""
-    p, r = phi.p, phi.r
-    X = skew_embed(phi)
-    Ipr = np.eye(p)[:, :r]
-    Z = _solve_against(X, Ipr)
-    return StiefelPlus(Z + X @ Z)
+    return StiefelPlus(_frame_of_rows(phi.A))
 
 
 def cayley_inverse(U):
@@ -232,13 +245,20 @@ def cayley_jacobian(phi):
 
     DU = 2 [I_{p x r}^T (I - X)^{-T} kron (I - X)^{-1}] Gamma, and
     ||DU||_2 <= 2 sqrt(2) uniformly over the chart domain.
+
+    Column k = a + b (p - r) is the direction dA = e_a e_b^T, for which
+    dX = e_{r+a} e_b^T - e_b e_{r+a}^T touches two entries.  With
+    S = (I - X)^{-1} and Z = S I_{p x r} the column is vec(2 S dX Z), the
+    vec of 2 (S[:, r+a] Z[b, :] - S[:, b] Z[r+a, :]) read as outer
+    products.  Neither the Kronecker factor nor Gamma is formed.
     """
     p, r = phi.p, phi.r
-    X = skew_embed(phi)
-    S = _solve_against(X, np.eye(p))
-    # I_{p x r}^T (I - X)^{-T} = (S I_{p x r})^T = S[:, :r]^T
-    left = kron(S[:, :r].T, S)
-    return 2.0 * left @ gamma_matrix(p, r)
+    S = _solve_against(skew_embed(phi), np.eye(p))
+    Z = S[:, :r]
+    # T[i, j, a, b] is entry (i, j) of the column for direction (a, b)
+    T = np.einsum("ia,bj->ijab", S[:, r:], Z[:r])
+    T -= np.einsum("ib,aj->ijab", Z, Z[r:])
+    return 2.0 * T.reshape(p * r, (p - r) * r, order="F")
 
 
 def taylor_certificate_U(phi, phi0):

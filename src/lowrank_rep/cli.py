@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import bicluster, matkit, rectrep, sbm, spiked, symrep
-from .cayley import Certificate, GateNotMet, Phi, cayley_map
+from .cayley import GateNotMet, Phi, cayley_map
 from .cayley import lipschitz_certificate_A, taylor_certificate_U
 from .errors import ConfigError, NumericsError
 from .rngs import substream

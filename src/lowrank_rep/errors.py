@@ -29,6 +29,10 @@ class TopBlockNotPD(NumericsError):
     """Leading r x r block of a frame is not symmetric positive definite."""
 
 
+class InaccurateSolve(NumericsError):
+    """A linear solve's relative residual exceeds its accuracy contract."""
+
+
 class RankMismatch(NumericsError):
     """Numerical rank of the input disagrees with the requested rank."""
 

@@ -7,6 +7,8 @@ block matrix onto its rank-r representation by minimizing
 
 import numpy as np
 
+from .errors import NumericsError
+
 __all__ = ["refine_least_squares"]
 
 GRAD_TOL = 1e-10
@@ -18,7 +20,8 @@ def refine_least_squares(x0, target_vec, value_fn, jacobian_fn, from_vector):
     """Minimize ||target_vec - value_fn(theta)||_2^2 over chart vectors.
 
     from_vector turns a raw vector into a validated chart point and may
-    raise on domain violations; such steps are halved like any failed step.
+    raise a NumericsError on domain violations; such steps are halved like
+    any failed step.  Any other exception propagates.
     Stops when ||J^T residual||_2 <= 1e-10, after 100 iterations, or when 30
     halvings cannot improve the objective.
 
@@ -41,7 +44,7 @@ def refine_least_squares(x0, target_vec, value_fn, jacobian_fn, from_vector):
         for _ in range(MAX_HALVINGS + 1):
             try:
                 cand_theta = from_vector(x + t * step)
-            except Exception:
+            except NumericsError:
                 t *= 0.5
                 continue
             cand_res = target_vec - value_fn(cand_theta)

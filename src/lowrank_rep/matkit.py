@@ -7,10 +7,11 @@ Layout conventions used by the whole package:
   * canonical angles between column spans are arccos of the singular values
     of U^T V, clipped into [0, 1] before arccos so roundoff never yields NaN.
 
-Commutation and duplication matrices are materialized densely.  They cost
-O(p^2 q^2) memory, which is fine for the block-model sizes this package
-targets (p in the tens); callers working at larger p should fold the
-permutation action in directly instead of forming the matrix.
+Commutation and duplication matrices are materialized densely and cost
+O(p^2 q^2) memory.  The chart Jacobians (cayley_jacobian, dsigma,
+dsigma_rect) and the spiked Fisher information fold the permutation and
+Kronecker actions in directly, so no hot path forms a p^2 x p^2 matrix;
+the dense matrices here serve as test oracles for those structured paths.
 """
 
 from dataclasses import dataclass

@@ -16,7 +16,7 @@ from .errors import (
     RankMismatch,
     SingularGram,
 )
-from .matkit import commutation_matrix, kron, spectral_norm, unvec, vec
+from .matkit import kron, spectral_norm, unvec, vec
 
 __all__ = [
     "ThetaRect",
@@ -125,15 +125,18 @@ def dsigma_rect(theta):
     """Jacobian of vec(Sigma(theta)), shape (p1 p2) x d.
 
     D_phi = K_{p2 p1} (M kron I_{p2}) DU(phi),  D_mu = U kron I_{p1}.
+    Column k of D_phi is vec(M dU_k^T), computed without forming K or the
+    Kronecker factor.
     """
     p1, p2, r = theta.p1, theta.p2, theta.r
     U = cayley_map(theta.phi).matrix
     d_mu = kron(U, np.eye(p1))
     if p2 == r:
         return d_mu
-    DU = cayley_jacobian(theta.phi)
-    d_phi = commutation_matrix(p2, p1) @ kron(theta.core, np.eye(p2)) @ DU
-    return np.hstack([d_phi, d_mu])
+    dU = cayley_jacobian(theta.phi).reshape(p2, r, -1, order="F")
+    # C[i, l, k] = sum_j M[i, j] dU_k[l, j]
+    C = np.tensordot(theta.core, dU, axes=(1, 1))
+    return np.hstack([C.reshape(p1 * p2, -1, order="F"), d_mu])
 
 
 def taylor_certificate_rect(theta, theta0):

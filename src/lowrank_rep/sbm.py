@@ -27,7 +27,7 @@ from .errors import (
     SingularFisher,
 )
 from .gaussnewton import refine_least_squares
-from .mc import invsqrt_pd, sqrt_psd, summarize_replicates
+from .mc import sqrt_psd, summarize_replicates
 from .rngs import generator, replicate_seed, substream
 from .symrep import ThetaSym, dsigma, sigma_of_theta, theta_of_sigma
 from .matkit import vec

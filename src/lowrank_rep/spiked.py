@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import logsumexp
 
-from .cayley import Phi, cayley_map
+from .cayley import _frame_of_rows, cayley_map
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -249,11 +249,26 @@ def log_likelihood(omega, omega_hat, n):
     return -(n / 2.0) * (p * math.log(2.0 * math.pi) + logdet) - (n / 2.0) * trace_term
 
 
-def _conjugate_columns(K, D, p):
+def _conjugate_columns(K, D):
     # Columns of D are vec's of p x p matrices H; returns the stack of
     # vec(K H K) without forming the p^2 x p^2 Kronecker factor.
+    p = K.shape[0]
     T = D.reshape(p, p, -1, order="F")
-    return np.einsum("ia,abk,bj->ijk", K, T, K).reshape(p * p, -1, order="F")
+    KT = np.tensordot(K, T, axes=(1, 0))      # [i, b, k] = (K H_k)[i, b]
+    KTK = np.tensordot(KT, K, axes=(1, 0))    # [i, k, j] = (K H_k K)[i, j]
+    return KTK.transpose(0, 2, 1).reshape(p * p, -1, order="F")
+
+
+def _fisher(D, K):
+    # (1/2) D^T (K kron K) D from DSigma and K = Omega^{-1}, with the PD gate
+    F = 0.5 * D.T @ _conjugate_columns(K, D)
+    F = 0.5 * (F + F.T)
+    lam_min = float(np.linalg.eigvalsh(F).min())
+    if lam_min <= 0.0:
+        raise NotPositiveDefinite(
+            f"Fisher information smallest eigenvalue {lam_min:.3e} <= 0"
+        )
+    return F
 
 
 def fisher_spiked(theta0):
@@ -262,17 +277,7 @@ def fisher_spiked(theta0):
     Positive definite everywhere on the chart domain; a nonpositive
     eigenvalue signals a bug upstream rather than a bad input.
     """
-    D = dsigma(theta0)
-    Om = omega_of_theta(theta0)
-    K = np.linalg.inv(Om)
-    F = 0.5 * D.T @ _conjugate_columns(K, D, theta0.p)
-    F = 0.5 * (F + F.T)
-    lam_min = float(np.linalg.eigvalsh(F).min())
-    if lam_min <= 0.0:
-        raise NotPositiveDefinite(
-            f"Fisher information smallest eigenvalue {lam_min:.3e} <= 0"
-        )
-    return F
+    return _fisher(dsigma(theta0), np.linalg.inv(omega_of_theta(theta0)))
 
 
 # =====================================================================
@@ -426,7 +431,7 @@ def limit_posterior(omega_hat, model, cap, a_const=1.0):
     Om0 = model.omega0
     K0 = np.linalg.inv(Om0)
     D0 = dsigma(theta0)
-    I_per = fisher_spiked(theta0)
+    I_per = _fisher(D0, K0)
     half_score = 0.5 * n * (
         D0.T @ (K0 @ (omega_hat - Om0) @ K0).ravel(order="F")
     )
@@ -434,8 +439,9 @@ def limit_posterior(omega_hat, model, cap, a_const=1.0):
     supports = _enumerate_supports(model, cap)
     means, covs, log_w = [], [], np.empty(len(supports))
     for k, sup in enumerate(supports):
-        F = sup.selector
-        I_S = n * (F.T @ I_per @ F)
+        # F_S^T I_per F_S for the 0/1 selector F_S is a submatrix
+        cols = sup.columns
+        I_S = n * I_per[np.ix_(cols, cols)]
         I_S = 0.5 * (I_S + I_S.T)
         try:
             L = np.linalg.cholesky(I_S)
@@ -446,7 +452,7 @@ def limit_posterior(omega_hat, model, cap, a_const=1.0):
         logdet = 2.0 * float(np.log(np.diag(L)).sum())
         cov = np.linalg.solve(I_S, np.eye(sup.dim))
         cov = 0.5 * (cov + cov.T)
-        mean = F.T @ v0 + cov @ (F.T @ half_score)
+        mean = v0[cols] + cov @ half_score[cols]
         gamma_est, _ = gamma_mc(sup.size, model.r)
         log_w[k] = (
             _log_pi_p(sup.size, model.p, model.r, a_const, n)
@@ -490,7 +496,7 @@ def sample_limit_posterior(lp, draws, seed):
             continue
         L = np.linalg.cholesky(comp.cov)
         z = gen.standard_normal((rows.size, comp.mean.size))
-        out[rows] = (comp.mean[None, :] + z @ L.T) @ comp.support.selector.T
+        out[np.ix_(rows, comp.support.columns)] = comp.mean[None, :] + z @ L.T
     return out
 
 
@@ -519,23 +525,10 @@ def lan_remainder(theta, theta0, omega_hat, n):
     D0 = dsigma(theta0)
     g = D0.T @ (K0 @ (omega_hat - Om0) @ K0).ravel(order="F")
     delta = theta.as_vector() - theta0.as_vector()
-    I_per = fisher_spiked(theta0)
+    I_per = _fisher(D0, K0)
     return diff - (n / 2.0) * float(g @ delta) + (n / 2.0) * float(
         delta @ I_per @ delta
     )
-
-
-def _frame_of_rows(A):
-    # Cayley image for an arbitrary real A: I - X is nonsingular for
-    # every skew-symmetric X, so this extends the chart map beyond the
-    # open ball and always returns an orthonormal frame.
-    pmr, r = A.shape
-    p = pmr + r
-    X = np.zeros((p, p))
-    X[r:, :r] = A
-    X[:r, r:] = -A.T
-    Z = np.linalg.solve(np.eye(p) - X, np.eye(p)[:, :r])
-    return Z + X @ Z
 
 
 def sin_theta_tail(draws, U0, m_const, s, p, n):

@@ -32,7 +32,6 @@ from .errors import (
     SingularGram,
 )
 from .matkit import (
-    commutation_matrix,
     duplication_matrix,
     kron,
     sin_theta,
@@ -168,17 +167,23 @@ def theta_of_sigma(Sigma, r):
 
 
 def dsigma(theta):
-    """Jacobian of vec(Sigma(theta)) in theta = [phi; mu], shape p^2 x d."""
+    """Jacobian of vec(Sigma(theta)) in theta = [phi; mu], shape p^2 x d.
+
+    The phi block is (I + K_pp)(U M kron I) DU: column k is vec(B + B^T)
+    with B = dU_k (U M)^T, computed without the p^2 x p^2 factors.  For
+    p > r the result is Fortran-ordered: each column is one contiguous block.
+    """
     p, r = theta.p, theta.r
     U = cayley_map(theta.phi).matrix
-    Dr = duplication_matrix(r)
-    d_mu = kron(U, U) @ Dr
+    d_mu = kron(U, U) @ duplication_matrix(r)
     if p == r:
         return d_mu
-    DU = cayley_jacobian(theta.phi)
-    sym = np.eye(p * p) + commutation_matrix(p, p)
-    d_phi = sym @ kron(U @ theta.core, np.eye(p)) @ DU
-    return np.hstack([d_phi, d_mu])
+    # row k of DU^T is vec(dU_k), so this reshape gives dU_k^T as r x p
+    dU_t = cayley_jacobian(theta.phi).T.reshape(-1, r, p)
+    B_t = (U @ theta.core) @ dU_t
+    # B + B^T is symmetric, so its row-major ravel is its vec
+    rows = (B_t + B_t.transpose(0, 2, 1)).reshape(-1, p * p)
+    return np.concatenate([rows, d_mu.T]).T
 
 
 def _theta_pair_check(theta, theta0):

@@ -2,12 +2,18 @@
 
 Finite differences here are the independent check on every hand-derived
 Jacobian: plain central differences, no reuse of package derivative code.
+The dense Kronecker/Gamma Jacobian is the oracle for the structured one.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
-from lowrank_rep import Phi, ThetaRect, ThetaSym, vech
+from lowrank_rep import Phi, ThetaRect, ThetaSym, gamma_matrix, kron, skew_embed, vech
 from lowrank_rep.rngs import generator
+
+# Largest ||A||_2 drawn by the chart property tests: far inside the 1e-12
+# domain margin, close enough to 1 to exercise the chart boundary.
+EDGE_NORM = 1.0 - 1e-6
 
 
 def rng(seed):
@@ -60,3 +66,34 @@ def fd_jacobian(f, x, h=None):
 def rel_err(approx, exact):
     denom = max(np.linalg.norm(exact), 1e-12)
     return np.linalg.norm(approx - exact) / denom
+
+
+@st.composite
+def chart_points(draw, r_max=3, p_max=12):
+    """(phi, gen): r in 1..r_max, p in r+1..p_max, ||A||_2 in [0, EDGE_NORM].
+
+    gen is a generator seeded by the draw, for any further random inputs.
+    """
+    r = draw(st.integers(1, r_max))
+    p = draw(st.integers(r + 1, p_max))
+    norm = draw(st.floats(0.0, EDGE_NORM))
+    return _scaled_point(p, r, norm, draw(st.integers(0, 2**32 - 1)))
+
+
+def edge_point(p, r, seed=0):
+    """A chart_points value with ||A||_2 = EDGE_NORM, for explicit examples."""
+    return _scaled_point(p, r, EDGE_NORM, seed)
+
+
+def _scaled_point(p, r, norm, seed):
+    gen = rng(seed)
+    A = gen.normal(size=(p - r, r))
+    A *= norm / np.linalg.norm(A, 2)
+    return Phi(p, r, A.reshape(-1, order="F")), gen
+
+
+def dense_cayley_jacobian(phi):
+    """DU = 2 (S[:, :r]^T kron S) Gamma with S = (I - X)^{-1}, all dense."""
+    p, r = phi.p, phi.r
+    S = np.linalg.inv(np.eye(p) - skew_embed(phi))
+    return 2.0 * kron(S[:, :r].T, S) @ gamma_matrix(p, r)

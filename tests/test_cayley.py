@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from lowrank_rep import (
     Phi,
@@ -16,14 +17,24 @@ from lowrank_rep import (
     taylor_certificate_U,
     vec,
 )
+from lowrank_rep.cli import run as cli_run
 from lowrank_rep.errors import (
     DimensionMismatch,
     DomainViolation,
+    InaccurateSolve,
     NotOrthonormal,
+    NumericsError,
     TopBlockNotPD,
 )
 
-from helpers import fd_jacobian, random_phi, rng
+from helpers import (
+    chart_points,
+    dense_cayley_jacobian,
+    edge_point,
+    fd_jacobian,
+    random_phi,
+    rng,
+)
 
 
 # ------------------------------------------------------------------- domain
@@ -122,6 +133,33 @@ def test_cayley_map_square_case():
     assert np.array_equal(U, np.eye(3))
 
 
+def _inaccurate_solve(monkeypatch):
+    # every np.linalg.solve answer is off by a relative 1e-6, far above the
+    # 1e-10 residual the chart solves accept
+    exact = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: exact(a, b) * (1.0 + 1e-6))
+
+
+def test_solve_residual_failure_is_typed(monkeypatch):
+    _inaccurate_solve(monkeypatch)
+    assert issubclass(InaccurateSolve, NumericsError)
+    with pytest.raises(InaccurateSolve):
+        cayley_map(Phi(4, 2, [0.1, 0.2, -0.1, 0.3]))
+    with pytest.raises(InaccurateSolve):
+        cayley_jacobian(Phi(4, 2, [0.1, 0.2, -0.1, 0.3]))
+
+
+def test_solve_residual_failure_exits_three(monkeypatch, tmp_path, capsys):
+    config = tmp_path / "battery.cfg"
+    config.write_text("p=4\nr=2\ndraws=1\nseed=1\n", encoding="utf-8")
+    _inaccurate_solve(monkeypatch)
+    code = cli_run(
+        ["check-bounds", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+    )
+    assert code == 3
+    assert "numerical failure: (I - X) solve: residual" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ inverse
 
 
@@ -216,6 +254,18 @@ def test_jacobian_at_zero_closed_form():
         X = embed_direction(e, p, r)
         expect = 2.0 * X[:, :r]  # 2 X e_k applied to I_{p x r}
         assert np.allclose(DU[:, k], vec(expect), atol=1e-14)
+
+
+@given(chart_points())
+@example(edge_point(2, 1))
+@example(edge_point(4, 3))
+@settings(max_examples=60, deadline=None)
+def test_jacobian_matches_dense_oracle(point):
+    phi, _ = point
+    dense = dense_cayley_jacobian(phi)
+    got = cayley_jacobian(phi)
+    assert got.shape == dense.shape
+    assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 def test_jacobian_finite_difference():

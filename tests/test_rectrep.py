@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowrank_rep import (
     Phi,
@@ -20,7 +22,15 @@ from lowrank_rep import (
 )
 from lowrank_rep.errors import RankMismatch
 
-from helpers import fd_jacobian, random_phi, random_theta_rect, rng
+from helpers import (
+    chart_points,
+    dense_cayley_jacobian,
+    edge_point,
+    fd_jacobian,
+    random_phi,
+    random_theta_rect,
+    rng,
+)
 
 
 def test_sigma_rect_zero_core():
@@ -117,6 +127,25 @@ def test_dsigma_rect_phi_block_at_zero():
         @ (2.0 * kron(E1.T, np.eye(p2)) @ gamma_matrix(p2, r))
     )
     assert np.allclose(D[:, :n_phi], expect, atol=1e-12)
+
+
+@given(chart_points(), st.integers(1, 12))
+@example(edge_point(2, 1), 1)
+@example(edge_point(4, 3), 5)
+@settings(max_examples=60, deadline=None)
+def test_dsigma_rect_phi_block_matches_dense_oracle(point, p1):
+    # K_{p2 p1} (M kron I_{p2}) DU with every factor dense
+    phi, gen = point
+    p2, r = phi.p, phi.r
+    M = gen.normal(size=(p1, r))
+    theta = ThetaRect(p1, phi, M.reshape(-1, order="F"))
+    dense = (
+        commutation_matrix(p2, p1)
+        @ kron(M, np.eye(p2))
+        @ dense_cayley_jacobian(phi)
+    )
+    got = dsigma_rect(theta)[:, : (p2 - r) * r]
+    assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 def test_taylor_rect_trivial():

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from lowrank_rep.cayley import Phi, cayley_map
 from lowrank_rep.errors import (
@@ -22,7 +23,13 @@ from lowrank_rep.errors import (
     NotPositiveDefinite,
     SupportViolation,
 )
-from lowrank_rep.matkit import kron, sin_theta, vech
+from lowrank_rep.matkit import (
+    commutation_matrix,
+    duplication_matrix,
+    kron,
+    sin_theta,
+    vech,
+)
 from lowrank_rep.spiked import (
     LimitPosterior,
     PosteriorComponent,
@@ -46,7 +53,15 @@ from lowrank_rep.spiked import (
 )
 from lowrank_rep.symrep import ThetaSym, dsigma, sigma_of_theta
 
-from helpers import fd_jacobian, random_theta_sym, rng
+from helpers import (
+    chart_points,
+    dense_cayley_jacobian,
+    edge_point,
+    fd_jacobian,
+    random_core_sym,
+    random_theta_sym,
+    rng,
+)
 
 
 def canonical_theta():
@@ -235,13 +250,29 @@ def test_fisher_singular_at_zero_core_for_tall_frames():
         fisher_spiked(theta)
 
 
-def test_fisher_matches_direct_kronecker():
-    theta = random_theta_sym(rng(3), 6, 2, pd=True)
-    omega = omega_of_theta(theta)
-    K = np.linalg.inv(omega)
-    D = dsigma(theta)
+@given(chart_points())
+@example(edge_point(2, 1))
+@example(edge_point(4, 3))
+@settings(max_examples=60, deadline=None)
+def test_fisher_matches_direct_kronecker(point):
+    # (1/2) D^T (K kron K) D with D = [(I + K_pp)(U M kron I) DU, (U kron U) D_r]
+    # assembled from dense factors only
+    phi, gen = point
+    p, r = phi.p, phi.r
+    theta = ThetaSym(phi, vech(random_core_sym(gen, r, pd=True)))
+    U = cayley_map(phi).matrix
+    D = np.hstack(
+        [
+            (np.eye(p * p) + commutation_matrix(p, p))
+            @ kron(U @ theta.core, np.eye(p))
+            @ dense_cayley_jacobian(phi),
+            kron(U, U) @ duplication_matrix(r),
+        ]
+    )
+    K = np.linalg.inv(omega_of_theta(theta))
     direct = 0.5 * D.T @ kron(K, K) @ D
-    assert np.max(np.abs(fisher_spiked(theta) - direct)) < 1e-12
+    got = fisher_spiked(theta)
+    assert np.linalg.norm(got - direct) <= 1e-13 * np.linalg.norm(direct)
 
 
 def test_fisher_pd_on_random_models():

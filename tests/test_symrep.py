@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from lowrank_rep import (
     GateNotMet,
     Phi,
     ThetaSym,
     cayley_map,
+    commutation_matrix,
     duplication_matrix,
     dsigma,
     inverse_perturbation_certificate,
+    kron,
     regularity_bounds,
     sigma_of_theta,
     subspace_equivalence_certificates,
@@ -25,7 +28,16 @@ from lowrank_rep.errors import (
     RankMismatch,
 )
 
-from helpers import fd_jacobian, random_phi, random_theta_sym, rng
+from helpers import (
+    chart_points,
+    dense_cayley_jacobian,
+    edge_point,
+    fd_jacobian,
+    random_core_sym,
+    random_phi,
+    random_theta_sym,
+    rng,
+)
 
 
 # ------------------------------------------------------------------- sigma
@@ -135,6 +147,25 @@ def test_dsigma_finite_difference():
 
         fd = fd_jacobian(f, theta.as_vector())
         assert np.linalg.norm(D - fd) / np.linalg.norm(D) < 1e-6
+
+
+@given(chart_points())
+@example(edge_point(2, 1))
+@example(edge_point(4, 3))
+@settings(max_examples=60, deadline=None)
+def test_dsigma_phi_block_matches_dense_oracle(point):
+    # (I + K_pp)(U M kron I) DU with every factor dense
+    phi, gen = point
+    p, r = phi.p, phi.r
+    theta = ThetaSym(phi, vech(random_core_sym(gen, r)))
+    U = cayley_map(phi).matrix
+    dense = (
+        (np.eye(p * p) + commutation_matrix(p, p))
+        @ kron(U @ theta.core, np.eye(p))
+        @ dense_cayley_jacobian(phi)
+    )
+    got = dsigma(theta)[:, : (p - r) * r]
+    assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 def test_dsigma_mu_block_identity():

@@ -152,8 +152,8 @@ def align_labels(est, truth):
     if k > MAX_ALIGN_K:
         raise TooManyClusters(f"k={k} would need {k}! permutations")
     # confusion[s, t] = #items with true label s and estimated label t
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (truth.labels, est.labels), 1)
+    pair_ids = truth.labels * k + est.labels
+    confusion = np.bincount(pair_ids, minlength=k * k).reshape(k, k)
     best_perm, best_ham = None, None
     for perm in permutations(range(k)):
         agree = int(confusion[np.arange(k), perm].sum())

@@ -104,7 +104,11 @@ class SbmModel:
 
 @dataclass(frozen=True)
 class BlockCounts:
-    """Edge counts m[s,t] and pair counts npairs[s,t] over index pairs i<j."""
+    """Edge counts m[s,t] and pair counts npairs[s,t] over ordered index
+    pairs (i, j), i != j, with labels (s, t): m = Z^T A Z and npairs =
+    n n^T - diag(n) for class sizes n, both symmetric int64.  Every
+    unordered pair is counted twice, hence the factor 1/2 in the
+    log-likelihood, score and Fisher."""
 
     m: np.ndarray = field(repr=False)
     npairs: np.ndarray = field(repr=False)
@@ -135,7 +139,7 @@ def sample_adjacency(model, seed):
     """Symmetric 0/1 adjacency with zero diagonal, Bernoulli edges for i<j."""
     tau = model.tau0.labels
     n = tau.size
-    P = model.Sigma0[tau[:, None], tau[None, :]]
+    P = model.Sigma0[tau][:, tau]
     gen = generator(seed)
     draws = gen.random((n, n)) < P
     A = np.triu(draws, 1).astype(np.int8)
@@ -164,48 +168,35 @@ def spectral_cluster_sbm(A, r, K, seed, restarts=20):
     return kmeans(V, K, restarts=restarts, seed=seed).assignment
 
 
-_PAIR_CACHE = {}
-
-
-def _upper_pairs(n):
-    if n not in _PAIR_CACHE:
-        _PAIR_CACHE.clear()  # keep at most one size resident
-        _PAIR_CACHE[n] = np.triu_indices(n, 1)
-    return _PAIR_CACHE[n]
-
-
 def block_counts(A, tau):
-    """Edge and pair counts per ordered class pair, over index pairs i<j."""
-    K = tau.k
-    iu, ju = _upper_pairs(tau.n)
-    s, t = tau.labels[iu], tau.labels[ju]
-    npairs = np.zeros((K, K), dtype=np.int64)
-    m = np.zeros((K, K), dtype=np.int64)
-    np.add.at(npairs, (s, t), 1)
-    np.add.at(m, (s, t), A[iu, ju].astype(np.int64))
-    return BlockCounts(m=m, npairs=npairs)
+    """BlockCounts of a 0/1 adjacency with zero diagonal, given labels.
 
-
-def block_mean_estimator(A, tau_hat):
-    """Within-block edge fractions: the maximum likelihood estimator of the
-    block probabilities given the labels.
-
-    Entry (s,t) averages A over all pairs with labels (s,t) in either order,
-    i off-diagonal pairs only.  Values can hit 0 or 1 on finite samples; they
-    are reported untouched and clipped downstream (clip_probabilities).
+    The only path from (A, labels) to likelihood statistics; computed once
+    per replicate.  m sums the rows, then the columns, of each class in
+    exact int64 arithmetic (one O(n^2) pass, no BLAS call).
     """
-    K = tau_hat.k
-    counts = tau_hat.counts()
-    if np.any(counts == 0):
-        raise EmptyBlock(f"classes with zero members: {np.flatnonzero(counts == 0)}")
-    Z = np.zeros((tau_hat.n, K))
-    Z[np.arange(tau_hat.n), tau_hat.labels] = 1.0
-    sums = Z.T @ A @ Z
-    denom = np.outer(counts, counts).astype(float)
-    np.fill_diagonal(denom, counts * (counts - 1.0))
-    if np.any(denom == 0):
-        raise EmptyBlock("singleton class has no within-class pairs")
-    return sums / denom
+    if A.shape != (tau.n, tau.n):
+        raise DimensionMismatch(f"A is {A.shape}, labels have n={tau.n}")
+    members = [tau.labels == s for s in range(tau.k)]
+    rows = np.stack([A[mask].sum(axis=0, dtype=np.int64) for mask in members])
+    m = np.stack([rows[:, mask].sum(axis=1) for mask in members], axis=1)
+    sizes = tau.counts()
+    return BlockCounts(m=m, npairs=np.outer(sizes, sizes) - np.diag(sizes))
+
+
+def block_mean_estimator(counts):
+    """Within-block edge fractions m / npairs: the maximum likelihood
+    estimator of the block probabilities given the labels.
+
+    Entry (s,t) averages A over all pairs i != j with labels (s,t) in either
+    order; a class with fewer than two members has no within-class pairs.
+    Values can hit 0 or 1 on finite samples; they are reported untouched
+    and clipped downstream (clip_probabilities).
+    """
+    short = np.flatnonzero(np.diag(counts.npairs) == 0)
+    if short.size:
+        raise EmptyBlock(f"classes with fewer than two members: {short}")
+    return counts.m / counts.npairs
 
 
 def clip_probabilities(Sigma):
@@ -282,25 +273,27 @@ def _checked_probs(theta):
     return S
 
 
-def sbm_log_likelihood(theta, tau, A):
-    """Bernoulli log-likelihood of the graph given labels, edges i<j once."""
+def sbm_log_likelihood(theta, counts):
+    """Bernoulli log-likelihood of the graph given labels, each pair i<j once:
+    half the sum over the ordered-pair tally."""
     S = _checked_probs(theta)
-    c = block_counts(A, tau)
-    return float(np.sum(c.m * np.log(S) + (c.npairs - c.m) * np.log1p(-S)))
+    m, npairs = counts.m, counts.npairs
+    return 0.5 * float(np.sum(m * np.log(S) + (npairs - m) * np.log1p(-S)))
 
 
-def sbm_score(theta, tau, A):
-    """Gradient of the log-likelihood in theta (length d)."""
+def sbm_score(theta, counts):
+    """Gradient of the log-likelihood in theta (length d).  The tally is
+    symmetric, as is every dsigma column, so halving it gives the i<j sum."""
     S = _checked_probs(theta)
-    c = block_counts(A, tau)
-    W = (c.m - c.npairs * S) / (S * (1.0 - S))
+    W = 0.5 * (counts.m - counts.npairs * S) / (S * (1.0 - S))
     return dsigma(theta).T @ vec(W)
 
 
-def sbm_fisher(theta, tau):
-    """Fisher information of theta given labels; symmetric PSD d x d."""
+def sbm_fisher(theta, counts):
+    """Fisher information of theta given labels; symmetric PSD d x d.
+    Reads only counts.npairs (ordered pairs, hence the factor 1/2)."""
     S = _checked_probs(theta)
-    W = _pair_counts_only(tau) / (S * (1.0 - S))
+    W = 0.5 * counts.npairs / (S * (1.0 - S))
     D = dsigma(theta)
     F = D.T @ (vec(W)[:, None] * D)
     F = 0.5 * (F + F.T)
@@ -312,19 +305,11 @@ def sbm_fisher(theta, tau):
     return F
 
 
-def _pair_counts_only(tau):
-    K = tau.k
-    iu, ju = _upper_pairs(tau.n)
-    npairs = np.zeros((K, K), dtype=np.int64)
-    np.add.at(npairs, (tau.labels[iu], tau.labels[ju]), 1)
-    return npairs
-
-
-def one_step(theta_tilde, tau_hat, A):
+def one_step(theta_tilde, counts):
     """Single Newton ascent step from the projected initial estimator:
-    theta_hat = theta_tilde + Fisher^{-1} score."""
-    F = sbm_fisher(theta_tilde, tau_hat)
-    g = sbm_score(theta_tilde, tau_hat, A)
+    theta_hat = theta_tilde + Fisher^{-1} score, both from the tally."""
+    F = sbm_fisher(theta_tilde, counts)
+    g = sbm_score(theta_tilde, counts)
     try:
         step = np.linalg.solve(F, g)
     except np.linalg.LinAlgError as exc:
@@ -424,8 +409,8 @@ def sbm_experiment(config, base_seed):
                 )
                 perm, ham = align_labels(tau_hat, tau0)
                 row["aligned_hamming"] = ham
-                tau_aligned = relabel(tau_hat, perm)
-                Sigma_naive = block_mean_estimator(A, tau_aligned)
+                counts = block_counts(A, relabel(tau_hat, perm))
+                Sigma_naive = block_mean_estimator(counts)
                 row["mse_naive"] = n * float(
                     np.linalg.norm(Sigma_naive - config.Sigma0) ** 2
                 )
@@ -436,7 +421,7 @@ def sbm_experiment(config, base_seed):
                     # fit targeted a permuted matrix; labels no longer match
                     rows.append(row)
                     continue
-                theta_hat = one_step(theta_tilde, tau_aligned, A)
+                theta_hat = one_step(theta_tilde, counts)
                 row["z"] = n * (J_half @ (theta_hat.as_vector() - theta0_vec))
                 row["mse_main"] = n * float(
                     np.linalg.norm(sigma_of_theta(theta_hat) - config.Sigma0) ** 2

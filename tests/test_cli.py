@@ -5,18 +5,27 @@ so argument handling, exit codes, and the CSV contract are all exercised
 through the real entry point.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lowrank_rep
+
+# the child imports the same package as this process, installed or not
+PACKAGE_ROOT = str(Path(lowrank_rep.__file__).resolve().parents[1])
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "lowrank_rep.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -1,22 +1,29 @@
 """Block-model pipeline tests.
 
-Oracles: binomial tail bounds for sampling, a brute-force double-loop
-assembly for the Fisher matrix, finite differences for the score, the
-closed-form saturated estimator at full rank, and the law-of-large-numbers
-bridge between the finite-sample Fisher and its n-free limit.
+Oracles: binomial tail bounds for sampling, the broadcast-index formula
+for the edge probabilities, explicit loops over index pairs for the class
+tally, log-likelihood, score and Fisher matrix, finite differences for the
+score, the closed-form saturated estimator at full rank, and the
+law-of-large-numbers bridge between the finite-sample Fisher and its n-free
+limit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowrank_rep.cluster import ClusterAssignment, align_labels, relabel
 from lowrank_rep.errors import (
+    DimensionMismatch,
     EmptyBlock,
     ProbabilityOutOfRange,
     RankMismatch,
 )
 from lowrank_rep.matkit import duplication_pinv, vec, vech
+from lowrank_rep.rngs import generator
 from lowrank_rep.sbm import (
+    BlockCounts,
     SbmExperimentConfig,
     SbmModel,
     asymptotic_cov_J,
@@ -49,6 +56,12 @@ def uniform_model(Sigma, r, n):
     K = Sigma.shape[0]
     pi = np.full(K, 1.0 / K)
     return SbmModel(Sigma, balanced_assignment(n, pi), r, pi)
+
+
+def shuffled_model(seed, n):
+    # unsorted labels: pairs i<j fall into both (s,t) and (t,s)
+    tau = ClusterAssignment(rng(seed).permutation(np.arange(n) % 3), 3)
+    return SbmModel(SIGMA_R2, tau, 2, np.full(3, 1.0 / 3.0))
 
 
 # ---- model validation ----
@@ -103,13 +116,24 @@ def test_adjacency_block_frequencies():
     model = uniform_model(SIGMA_FULL, 2, n)
     A = sample_adjacency(model, 4)
     c = block_counts(A, model.tau0)
-    freq = np.zeros((2, 2))
-    pairs = c.npairs + c.npairs.T - np.diag(np.diag(c.npairs))
-    edges = c.m + c.m.T - np.diag(np.diag(c.m))
-    mask = pairs > 0
-    freq[mask] = edges[mask] / pairs[mask]
-    sd = np.sqrt(SIGMA_FULL * (1 - SIGMA_FULL) / np.maximum(pairs, 1))
-    assert np.all(np.abs(freq - SIGMA_FULL)[mask] <= 4 * sd[mask])
+    freq = c.m / c.npairs
+    # independent Bernoulli draws per block: unordered pairs, so the ordered
+    # within-class count is halved
+    draws = c.npairs - np.diag(np.diag(c.npairs)) / 2
+    sd = np.sqrt(SIGMA_FULL * (1 - SIGMA_FULL) / draws)
+    assert np.all(np.abs(freq - SIGMA_FULL) <= 4 * sd)
+
+
+@pytest.mark.parametrize("seed", [12, 13])
+def test_adjacency_matches_broadcast_index_oracle(seed):
+    model = shuffled_model(seed, 45)
+    labels = model.tau0.labels
+    P = SIGMA_R2[labels[:, None], labels[None, :]]
+    upper = np.triu(generator(seed).random((45, 45)) < P, 1).astype(np.int8)
+    oracle = upper + upper.T
+    A = sample_adjacency(model, seed)
+    assert A.dtype == oracle.dtype
+    assert np.array_equal(A, oracle)
 
 
 # ---- spectral clustering ----
@@ -147,21 +171,77 @@ def test_spectral_recovery_rate_strong_signal():
     assert good >= 95
 
 
-# ---- block means ----
+# ---- class-pair tally and block means ----
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Unsorted labels, possibly with empty and singleton classes, and a
+    symmetric 0/1 adjacency with zero diagonal."""
+    k = draw(st.integers(1, 4))
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), max_size=14)), dtype=np.int64)
+    n = labels.size
+    upper = np.triu(rng(draw(st.integers(0, 2**32 - 1))).random((n, n)) < 0.5, 1)
+    A = upper.astype(np.int8)
+    return A + A.T, ClusterAssignment(labels, k)
+
+
+def loop_tally(A, tau):
+    m = np.zeros((tau.k, tau.k), dtype=np.int64)
+    npairs = np.zeros((tau.k, tau.k), dtype=np.int64)
+    for i in range(tau.n):
+        for j in range(tau.n):
+            if i != j:
+                s, t = tau.labels[i], tau.labels[j]
+                m[s, t] += A[i, j]
+                npairs[s, t] += 1
+    return m, npairs
+
+
+@given(labelled_graphs())
+@example((np.zeros((0, 0), dtype=np.int8), ClusterAssignment(np.zeros(0), 2)))
+@example((np.zeros((1, 1), dtype=np.int8), ClusterAssignment(np.array([1]), 3)))
+@settings(max_examples=80, deadline=None)
+def test_block_counts_matches_pair_loop(graph):
+    A, tau = graph
+    c = block_counts(A, tau)
+    m, npairs = loop_tally(A, tau)
+    assert c.m.dtype == np.int64 and c.npairs.dtype == np.int64
+    assert np.array_equal(c.m, m)
+    assert np.array_equal(c.npairs, npairs)
+
+
+@given(labelled_graphs())
+@settings(max_examples=60, deadline=None)
+def test_block_mean_rejects_classes_without_pairs(graph):
+    A, tau = graph
+    counts = block_counts(A, tau)
+    if np.any(tau.counts() < 2):
+        with pytest.raises(EmptyBlock):
+            block_mean_estimator(counts)
+    else:
+        m, npairs = loop_tally(A, tau)
+        assert np.array_equal(block_mean_estimator(counts), m / npairs)
+
+
+def test_block_counts_shape_mismatch():
+    tau = ClusterAssignment(np.zeros(3, dtype=np.int64), 1)
+    with pytest.raises(DimensionMismatch):
+        block_counts(np.zeros((4, 4), dtype=np.int8), tau)
 
 
 def test_block_mean_all_ones_single_class():
     n = 6
     A = 1 - np.eye(n, dtype=np.int8)
     tau = ClusterAssignment(np.zeros(n, dtype=np.int64), 1)
-    assert np.array_equal(block_mean_estimator(A, tau), [[1.0]])
+    assert np.array_equal(block_mean_estimator(block_counts(A, tau)), [[1.0]])
 
 
 def test_block_mean_concentrates():
     n = 500
     model = uniform_model(SIGMA_R2, 2, n)
     A = sample_adjacency(model, 6)
-    est = block_mean_estimator(A, model.tau0)
+    est = block_mean_estimator(block_counts(A, model.tau0))
     assert np.array_equal(est, est.T)
     counts = model.tau0.counts().astype(float)
     pairs = np.outer(counts, counts)
@@ -174,14 +254,14 @@ def test_block_mean_empty_class():
     A = np.zeros((4, 4), dtype=np.int8)
     tau = ClusterAssignment(np.array([0, 0, 0, 0]), 2)  # class 1 absent
     with pytest.raises(EmptyBlock):
-        block_mean_estimator(A, tau)
+        block_mean_estimator(block_counts(A, tau))
 
 
 def test_block_mean_singleton_class():
     A = np.zeros((3, 3), dtype=np.int8)
     tau = ClusterAssignment(np.array([0, 0, 1]), 2)  # class 1 has no pairs
     with pytest.raises(EmptyBlock):
-        block_mean_estimator(A, tau)
+        block_mean_estimator(block_counts(A, tau))
 
 
 def test_clip_probabilities():
@@ -222,6 +302,42 @@ def sampled_instance(seed, n=40):
     return model, A, theta
 
 
+def pair_terms(theta, tau):
+    """(i, j, S_st, D^T vec(E_st)) for every index pair i < j."""
+    S = sigma_of_theta(theta)
+    D = dsigma(theta)
+    K = S.shape[0]
+    for i in range(tau.n):
+        for j in range(i + 1, tau.n):
+            s, t = tau.labels[i], tau.labels[j]
+            E = np.zeros((K, K))
+            E[s, t] = 1.0
+            yield i, j, S[s, t], D.T @ vec(E)
+
+
+def shuffled_instance(seed, n=30):
+    model = shuffled_model(seed, n)
+    return model.tau0, sample_adjacency(model, seed), theta_of_sigma(SIGMA_R2, 2)
+
+
+def test_log_likelihood_matches_pair_loop():
+    tau, A, theta = shuffled_instance(34)
+    oracle = sum(
+        np.log(p) if A[i, j] else np.log1p(-p) for i, j, p, _ in pair_terms(theta, tau)
+    )
+    got = sbm_log_likelihood(theta, block_counts(A, tau))
+    assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_score_matches_pair_loop():
+    tau, A, theta = shuffled_instance(35)
+    oracle = sum(
+        (A[i, j] - p) / (p * (1.0 - p)) * x for i, j, p, x in pair_terms(theta, tau)
+    )
+    got = sbm_score(theta, block_counts(A, tau))
+    assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
 def test_score_zero_at_exact_edge_fractions():
     # Sigma = 1/2 and exactly half of all pairs present: score vanishes
     theta = theta_of_sigma(np.array([[0.5]]), 1)
@@ -229,60 +345,55 @@ def test_score_zero_at_exact_edge_fractions():
     A = np.zeros((4, 4), dtype=np.int8)
     for i, j in [(0, 1), (0, 2), (0, 3)]:
         A[i, j] = A[j, i] = 1
-    assert np.array_equal(sbm_score(theta, tau, A), np.zeros(1))
+    assert np.array_equal(sbm_score(theta, block_counts(A, tau)), np.zeros(1))
 
 
 def test_score_matches_finite_difference():
     model, A, theta = sampled_instance(30)
+    counts = block_counts(A, model.tau0)
     x = theta.as_vector()
 
     def loglik(v):
-        return np.array(
-            [sbm_log_likelihood(ThetaSym.from_vector(3, 2, v), model.tau0, A)]
-        )
+        return np.array([sbm_log_likelihood(ThetaSym.from_vector(3, 2, v), counts)])
 
     fd = fd_jacobian(loglik, x)[0]
-    g = sbm_score(theta, model.tau0, A)
+    g = sbm_score(theta, counts)
     assert np.linalg.norm(fd - g) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
 
 def test_probability_range_guard():
     bad = ThetaSym.from_vector(1, 1, np.array([1.5]))  # Sigma = [1.5]
     tau = ClusterAssignment(np.zeros(3, dtype=np.int64), 1)
-    A = np.zeros((3, 3), dtype=np.int8)
+    counts = block_counts(np.zeros((3, 3), dtype=np.int8), tau)
     with pytest.raises(ProbabilityOutOfRange):
-        sbm_score(bad, tau, A)
+        sbm_score(bad, counts)
     with pytest.raises(ProbabilityOutOfRange):
-        sbm_fisher(bad, tau)
+        sbm_fisher(bad, counts)
     with pytest.raises(ProbabilityOutOfRange):
-        sbm_log_likelihood(bad, tau, A)
+        sbm_log_likelihood(bad, counts)
 
 
 def brute_fisher(theta, tau):
-    S = sigma_of_theta(theta)
-    D = dsigma(theta)
-    K = S.shape[0]
-    npairs = block_counts(np.zeros((tau.n, tau.n), dtype=np.int8), tau).npairs
-    F = np.zeros((D.shape[1], D.shape[1]))
-    for s in range(K):
-        for t in range(K):
-            E = np.zeros((K, K))
-            E[s, t] = 1.0
-            x = D.T @ vec(E)
-            F += npairs[s, t] * np.outer(x, x) / (S[s, t] * (1.0 - S[s, t]))
-    return F
+    return sum(np.outer(x, x) / (p * (1.0 - p)) for _, _, p, x in pair_terms(theta, tau))
 
 
 def test_fisher_matches_brute_force():
-    model, _, theta = sampled_instance(31, n=30)
-    F = sbm_fisher(theta, model.tau0)
+    model, A, theta = sampled_instance(31, n=30)
+    F = sbm_fisher(theta, block_counts(A, model.tau0))
     B = brute_fisher(theta, model.tau0)
     assert np.linalg.norm(F - B) <= 1e-10 * np.linalg.norm(B)
 
 
+def test_fisher_matches_brute_force_shuffled_labels():
+    tau, A, theta = shuffled_instance(36)
+    F = sbm_fisher(theta, block_counts(A, tau))
+    B = brute_fisher(theta, tau)
+    assert np.linalg.norm(F - B) <= 1e-10 * np.linalg.norm(B)
+
+
 def test_fisher_psd():
-    model, _, theta = sampled_instance(32, n=50)
-    F = sbm_fisher(theta, model.tau0)
+    model, A, theta = sampled_instance(32, n=50)
+    F = sbm_fisher(theta, block_counts(A, model.tau0))
     assert np.array_equal(F, F.T)
     lam = np.linalg.eigvalsh(F)
     assert lam[0] >= -1e-10 * np.linalg.norm(F, 2)
@@ -291,7 +402,8 @@ def test_fisher_psd():
 def test_fisher_no_pairs_is_zero():
     theta = theta_of_sigma(np.array([[0.5]]), 1)
     tau = ClusterAssignment(np.zeros(1, dtype=np.int64), 1)
-    assert np.array_equal(sbm_fisher(theta, tau), np.zeros((1, 1)))
+    counts = block_counts(np.zeros((1, 1), dtype=np.int8), tau)
+    assert np.array_equal(sbm_fisher(theta, counts), np.zeros((1, 1)))
 
 
 # ---- one-step estimator ----
@@ -303,15 +415,16 @@ def test_one_step_fixed_point_at_zero_score():
     A = np.zeros((4, 4), dtype=np.int8)
     for i, j in [(0, 1), (0, 2), (0, 3)]:
         A[i, j] = A[j, i] = 1
-    out = one_step(theta, tau, A)
+    out = one_step(theta, block_counts(A, tau))
     assert np.array_equal(out.as_vector(), theta.as_vector())
 
 
 def test_one_step_defining_equation():
     model, A, theta = sampled_instance(33, n=60)
-    out = one_step(theta, model.tau0, A)
-    F = sbm_fisher(theta, model.tau0)
-    g = sbm_score(theta, model.tau0, A)
+    counts = block_counts(A, model.tau0)
+    out = one_step(theta, counts)
+    F = sbm_fisher(theta, counts)
+    g = sbm_score(theta, counts)
     lhs = F @ (out.as_vector() - theta.as_vector())
     assert np.linalg.norm(lhs - g) <= 1e-9 * (1.0 + np.linalg.norm(g))
 
@@ -320,9 +433,10 @@ def test_one_step_matches_saturated_estimator_at_full_rank():
     # at r = K the block edge fractions are the exact likelihood maximizer
     model = uniform_model(SIGMA_FULL, 2, 80)
     A = sample_adjacency(model, 5)
-    naive = block_mean_estimator(A, model.tau0)
+    counts = block_counts(A, model.tau0)
+    naive = block_mean_estimator(counts)
     theta_tilde = project_to_manifold(clip_probabilities(naive), 2)
-    theta_hat = one_step(theta_tilde, model.tau0, A)
+    theta_hat = one_step(theta_tilde, counts)
     assert np.linalg.norm(sigma_of_theta(theta_hat) - naive) <= 1e-6
 
 
@@ -342,8 +456,13 @@ def test_cov_J_matches_scaled_fisher():
     # (1/n^2) Fisher at n = 5000 with balanced classes approaches J
     theta = theta_of_sigma(SIGMA_R2, 2)
     pi = np.array([0.4, 0.35, 0.25])
-    tau = balanced_assignment(5000, pi)
-    F = sbm_fisher(theta, tau)
+    sizes = balanced_assignment(5000, pi).counts()
+    # the Fisher reads only the pair counts; no 5000 x 5000 graph needed
+    pairs = BlockCounts(
+        m=np.zeros((3, 3), dtype=np.int64),
+        npairs=np.outer(sizes, sizes) - np.diag(sizes),
+    )
+    F = sbm_fisher(theta, pairs)
     J = asymptotic_cov_J(theta, pi)
     err = np.linalg.norm(F / 5000.0**2 - J, 2) / np.linalg.norm(J, 2)
     assert err <= 0.02

@@ -143,7 +143,9 @@ def sample_data(model, seed, noise="gaussian"):
     """
     if noise not in NOISE_KINDS:
         raise DimensionMismatch(f"unknown noise family {noise!r}")
-    mean = _one_hot(model.tau0) @ model.Sigma0 @ _one_hot(model.gamma0).T
+    # take along axis 1 keeps the gather C-ordered; Sigma0[tau][:, gamma]
+    # would be F-ordered and slow down the sum with the C-ordered noise
+    mean = np.take(model.Sigma0[model.tau0.labels], model.gamma0.labels, axis=1)
     s = float(np.sqrt(model.sigma2))
     gen = generator(seed)
     shape = (model.m, model.n)

@@ -14,6 +14,7 @@ from itertools import permutations
 
 import numpy as np
 import scipy.sparse.linalg
+from scipy.linalg.blas import dsymv
 
 from .cluster import ClusterAssignment, align_labels, kmeans, relabel
 from .errors import (
@@ -136,25 +137,56 @@ def balanced_assignment(n, pi):
 
 
 def sample_adjacency(model, seed):
-    """Symmetric 0/1 adjacency with zero diagonal, Bernoulli edges for i<j."""
+    """Symmetric 0/1 adjacency (int8) with zero diagonal, Bernoulli edges.
+
+    Stream contract: the seed's generator yields n^2 uniforms u in
+    row-major order, and edge {i, j} with i < j is present when
+    u[i, j] < Sigma0[tau_i, tau_j]; the diagonal and the lower triangle of
+    the stream are drawn but unused.  The uniforms are drawn in row blocks
+    of about 2^17 values, so no n x n float array is formed; the only
+    n x n arrays are bool (one byte per entry).
+    """
     tau = model.tau0.labels
     n = tau.size
-    P = model.Sigma0[tau][:, tau]
     gen = generator(seed)
-    draws = gen.random((n, n)) < P
-    A = np.triu(draws, 1).astype(np.int8)
-    return A + A.T
+    up = np.empty((n, n), dtype=bool)
+    step = max(1, 2**17 // max(n, 1))
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        u = gen.random((i1 - i0, n))
+        # columns j < i0 lie below the diagonal and are zeroed by triu
+        np.less(
+            u[:, i0:], model.Sigma0[tau[i0:i1]][:, tau[i0:]], out=up[i0:i1, i0:]
+        )
+    A = np.triu(up, 1)
+    A |= A.T
+    return A.view(np.int8)
+
+
+def _symv_operator(Af):
+    """x -> Af @ x for a symmetric C-ordered float64 Af, by BLAS dsymv.
+
+    dsymv runs in the BLAS that ARPACK links (numpy's dot would go through
+    a second BLAS library with its own thread pool) and reads one triangle
+    of Af.  Af.T is the F-contiguous view of the symmetric Af, so f2py
+    passes it without copying; a C-ordered argument is copied per call.
+    """
+    Ft = Af.T
+    return scipy.sparse.linalg.LinearOperator(
+        Af.shape, matvec=lambda x: dsymv(1.0, Ft, x), dtype=float
+    )
 
 
 def _leading_eigvecs(A, r, seed):
     n = A.shape[0]
+    # one float copy per replicate: an int8 operator would re-cast per matvec
     Af = A.astype(float)
     if n <= DENSE_EIG_MAX or r >= n - 1:
         lam, V = np.linalg.eigh(Af)
         order = np.argsort(-np.abs(lam), kind="stable")
         return V[:, order[:r]]
     v0 = substream(seed, 7).standard_normal(n)
-    lam, V = scipy.sparse.linalg.eigsh(Af, k=r, which="LM", v0=v0)
+    lam, V = scipy.sparse.linalg.eigsh(_symv_operator(Af), k=r, which="LM", v0=v0)
     order = np.argsort(-np.abs(lam), kind="stable")
     return V[:, order]
 

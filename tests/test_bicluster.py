@@ -1,6 +1,7 @@
 """Biclustering pipeline tests.
 
-Oracles: exact reconstruction at zero noise, CLT and moment bounds for the
+Oracles: exact reconstruction at zero noise, the one-hot product
+Z_row Sigma0 Z_col^T for the sampler mean, CLT and moment bounds for the
 samplers, a hand-derived closed form for the limiting covariance under
 uniform proportions, and a direct Monte Carlo check that the standardized
 estimation errors have identity covariance.
@@ -8,6 +9,8 @@ estimation errors have identity covariance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank_rep.bicluster import (
     BiclusterExperimentConfig,
@@ -83,6 +86,26 @@ def test_sample_zero_noise_is_exact_signal():
     Y = sample_data(model, 0)
     expect = SIGMA_B[model.tau0.labels][:, model.gamma0.labels]
     assert np.array_equal(Y, expect)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_sample_mean_matches_one_hot_product(seed):
+    # shuffled labels, entries of both signs spanning 1e-3 .. 1e3
+    gen = rng(seed)
+    p1, p2 = gen.integers(1, 5, size=2)
+    m, n = gen.integers(1, 901, size=2)
+    Sigma = gen.choice([-1.0, 1.0], size=(p1, p2)) * 10.0 ** gen.uniform(
+        -3, 3, size=(p1, p2)
+    )
+    tau = ClusterAssignment(gen.integers(0, p1, m), p1)
+    gamma = ClusterAssignment(gen.integers(0, p2, n), p2)
+    Zr = np.zeros((m, p1))
+    Zr[np.arange(m), tau.labels] = 1.0
+    Zc = np.zeros((n, p2))
+    Zc[np.arange(n), gamma.labels] = 1.0
+    Y = sample_data(BiclusterModel(Sigma, tau, gamma, 0.0), seed)
+    assert np.array_equal(Y, Zr @ Sigma @ Zc.T)
 
 
 def test_sample_deterministic():

@@ -1,11 +1,11 @@
 """Block-model pipeline tests.
 
-Oracles: binomial tail bounds for sampling, the broadcast-index formula
-for the edge probabilities, explicit loops over index pairs for the class
-tally, log-likelihood, score and Fisher matrix, finite differences for the
-score, the closed-form saturated estimator at full rank, and the
-law-of-large-numbers bridge between the finite-sample Fisher and its n-free
-limit.
+Oracles: binomial tail bounds for sampling, the full-matrix broadcast-index
+formula for the streamed edge draws, dense eigh for the Lanczos span,
+explicit loops over index pairs for the class tally, log-likelihood, score
+and Fisher matrix, finite differences for the score, the closed-form
+saturated estimator at full rank, and the law-of-large-numbers bridge
+between the finite-sample Fisher and its n-free limit.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from lowrank_rep.errors import (
 from lowrank_rep.matkit import duplication_pinv, vec, vech
 from lowrank_rep.rngs import generator
 from lowrank_rep.sbm import (
+    DENSE_EIG_MAX,
     BlockCounts,
     SbmExperimentConfig,
     SbmModel,
@@ -40,6 +41,7 @@ from lowrank_rep.sbm import (
     sbm_score,
     spectral_cluster_sbm,
 )
+from lowrank_rep.sbm import _leading_eigvecs, _symv_operator
 from lowrank_rep.symrep import ThetaSym, dsigma, sigma_of_theta, theta_of_sigma
 
 from helpers import fd_jacobian, rng
@@ -136,7 +138,58 @@ def test_adjacency_matches_broadcast_index_oracle(seed):
     assert np.array_equal(A, oracle)
 
 
+@given(
+    k=st.integers(1, 4),
+    n=st.integers(1, 800),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one block is 2**17 // n rows: n = 362 fills exactly one block, 363 is the
+# first size that spills into a second, and the prime 401 ends on a short one
+@example(k=2, n=1, seed=0)
+@example(k=3, n=2, seed=1)
+@example(k=4, n=362, seed=2)
+@example(k=3, n=363, seed=3)
+@example(k=4, n=401, seed=4)
+@settings(max_examples=40, deadline=None)
+def test_streamed_adjacency_matches_full_matrix_oracle(k, n, seed):
+    # shuffled labels (empty classes allowed) and a random symmetric truth
+    gen = rng(seed)
+    labels = gen.integers(0, k, n)
+    S = np.triu(gen.uniform(0.02, 0.98, size=(k, k)))
+    S = S + np.triu(S, 1).T
+    sv = np.linalg.svd(S, compute_uv=False)
+    r = int(np.sum(sv > 1e-9 * sv[0]))
+    model = SbmModel(S, ClusterAssignment(labels, k), r, np.full(k, 1.0 / k))
+    P = S[labels[:, None], labels[None, :]]
+    upper = np.triu(generator(seed).random((n, n)) < P, 1).astype(np.int8)
+    oracle = upper + upper.T
+    A = sample_adjacency(model, seed)
+    assert A.dtype == oracle.dtype
+    assert np.array_equal(A, oracle)
+
+
 # ---- spectral clustering ----
+
+
+@pytest.mark.parametrize("n", [401, 600])
+def test_lanczos_span_matches_dense_eigh(n):
+    assert n > DENSE_EIG_MAX  # the eigsh branch
+    model = shuffled_model(n, n)
+    A = sample_adjacency(model, 21)
+    V = _leading_eigvecs(A, 2, 21)
+    lam, W = np.linalg.eigh(A.astype(float))
+    W = W[:, np.argsort(-np.abs(lam), kind="stable")[:2]]
+    assert np.max(np.abs(V.T @ V - np.eye(2))) < 1e-12
+    sin_theta = np.linalg.norm(W - V @ (V.T @ W), 2)
+    assert sin_theta < 1e-10
+
+
+def test_symv_operator_matches_matmul():
+    Af = sample_adjacency(shuffled_model(14, 500), 14).astype(float)
+    op = _symv_operator(Af)
+    for x in rng(15).standard_normal((3, 500)):
+        y = Af @ x
+        assert np.linalg.norm(op.matvec(x) - y) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_spectral_two_cliques():

@@ -13,29 +13,22 @@ sqrt(mn) (Sigma_hat - Sigma0)_st has variance sigma2 / (w_s pi_t).
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 import scipy.sparse.linalg
 
 from .cluster import ClusterAssignment, align_labels, kmeans, relabel
-from .errors import (
-    DimensionMismatch,
-    EmptyBlock,
-    NumericsError,
-    ProjectionFailed,
-    SingularGram,
-)
-from .gaussnewton import refine_least_squares
+from .errors import DimensionMismatch, EmptyBlock, SingularGram
+from .gaussnewton import fit_with_permutation
 from .matkit import vec
-from .mc import invsqrt_pd, summarize_replicates
+from .mc import Study, StudySize, invsqrt_pd, run_study
 from .rectrep import (
     ThetaRect,
     dsigma_rect,
     sigma_of_theta_rect,
     theta_of_sigma_rect,
 )
-from .rngs import generator, replicate_seed, substream
+from .rngs import generator, substream
 from .sbm import balanced_assignment
 
 __all__ = [
@@ -216,32 +209,22 @@ def _rank_r_svd_truncation(T, r):
     return (U[:, :r] * s[:r]) @ Vt[:r, :]
 
 
-def _lse_with_permutation(Sigma_hat, r):
+def _lse(Sigma_hat, r):
+    # (theta, idx): truncated once, then only the columns are reordered
     T = np.asarray(Sigma_hat, dtype=float)
     p1, p2 = T.shape
     trunc = _rank_r_svd_truncation(T, r)
-    init = None
-    for perm in permutations(range(p2)):
-        idx = np.array(perm, dtype=np.int64)
-        try:
-            init = theta_of_sigma_rect(trunc[:, idx], r)
-        except NumericsError:
-            continue
-        target = T[:, idx]
-        break
-    if init is None:
-        raise ProjectionFailed(
-            f"no column permutation of the {p1}x{p2} input admits a "
-            f"rank-{r} representer with a PD top block"
-        )
-    theta, _ = refine_least_squares(
-        init.as_vector(),
-        vec(target),
+
+    def start(idx):
+        return theta_of_sigma_rect(trunc[:, idx], r), T[:, idx]
+
+    return fit_with_permutation(
+        p2,
+        start,
         lambda th: vec(sigma_of_theta_rect(th)),
         dsigma_rect,
         lambda v: ThetaRect.from_vector(p1, p2, r, v),
     )
-    return theta, idx
 
 
 def lse_theta(Sigma_hat, r):
@@ -252,7 +235,7 @@ def lse_theta(Sigma_hat, r):
     representer (the fit then targets that permuted matrix).  Refined by
     damped Gauss-Newton.
     """
-    theta, _ = _lse_with_permutation(Sigma_hat, r)
+    theta, _ = _lse(Sigma_hat, r)
     return theta
 
 
@@ -322,72 +305,53 @@ class BiclusterExperimentConfig:
     def p2(self):
         return self.Sigma0.shape[1]
 
+    def study(self):
+        """The mc.Study of this design: the chart point of Sigma0, G^{-1/2}
+        as standardizer, and one replicate pipeline per (m, n) size.  The
+        truth model is built and validated at every size here, so a bad
+        design raises before any replicate runs."""
+        sizes = tuple(_study_size(self, m, n) for m, n in self.sizes)
+        theta0 = theta_of_sigma_rect(self.Sigma0, self.r)
+        G = asymptotic_cov_G(theta0, self.w, self.pi, self.sigma2)
+        return Study(theta0, invsqrt_pd(G), sigma_of_theta_rect, sizes)
+
+
+def _study_size(config, m, n):
+    tau0 = balanced_assignment(m, config.w)
+    gamma0 = balanced_assignment(n, config.pi)
+    model = BiclusterModel(
+        config.Sigma0, tau0, gamma0, config.sigma2, config.w, config.pi
+    )
+
+    def mse(Sigma):
+        return m * n * float(np.linalg.norm(Sigma - config.Sigma0) ** 2)
+
+    def sample(seed):
+        return sample_data(model, seed, noise=config.noise)
+
+    def replicate(Y, seed, row):
+        tau_hat, gamma_hat = spectral_cocluster(
+            Y, config.r, config.p1, config.p2, seed, restarts=config.kmeans_restarts
+        )
+        perm_r, ham_r = align_labels(tau_hat, tau0)
+        perm_c, ham_c = align_labels(gamma_hat, gamma0)
+        row["aligned_hamming"] = ham_r + ham_c
+        Sigma_hat = block_means(
+            Y, relabel(tau_hat, perm_r), relabel(gamma_hat, perm_c)
+        )
+        row["mse_naive"] = mse(Sigma_hat)
+        theta_hat, idx = _lse(Sigma_hat, config.r)
+        return idx, lambda: theta_hat
+
+    scale = float(np.sqrt(m * n))
+    return StudySize({"m": m, "n": n}, scale, mse, sample, replicate)
+
 
 def bicluster_experiment(config, base_seed):
     """Full pipeline per replicate, summarized per (m, n) size.
 
     Replicate i uses seed base_seed + i.  Replicates with imperfect
     co-clustering or numerical failures are flagged and excluded from the
-    normality statistics; their count is reported.
+    normality statistics; their count is reported (mc.run_study).
     """
-    theta0 = theta_of_sigma_rect(config.Sigma0, config.r)
-    theta0_vec = theta0.as_vector()
-    d = theta0.d
-    G = asymptotic_cov_G(theta0, config.w, config.pi, config.sigma2)
-    G_invhalf = invsqrt_pd(G)
-    summaries = []
-    for m, n in config.sizes:
-        tau0 = balanced_assignment(m, config.w)
-        gamma0 = balanced_assignment(n, config.pi)
-        model = BiclusterModel(
-            config.Sigma0, tau0, gamma0, config.sigma2, config.w, config.pi
-        )
-        scale = float(np.sqrt(m * n))
-        rows = []
-        for i in range(config.replicates):
-            seed = replicate_seed(base_seed, i)
-            row = {
-                "replicate": i,
-                "n": n,
-                "m": m,
-                "aligned_hamming": -1,
-                "excluded_flag": 1,
-                "z": None,
-                "mse_main": np.nan,
-                "mse_naive": np.nan,
-            }
-            try:
-                Y = sample_data(model, seed, noise=config.noise)
-                tau_hat, gamma_hat = spectral_cocluster(
-                    Y,
-                    config.r,
-                    config.p1,
-                    config.p2,
-                    seed,
-                    restarts=config.kmeans_restarts,
-                )
-                perm_r, ham_r = align_labels(tau_hat, tau0)
-                perm_c, ham_c = align_labels(gamma_hat, gamma0)
-                row["aligned_hamming"] = ham_r + ham_c
-                Sigma_hat = block_means(
-                    Y, relabel(tau_hat, perm_r), relabel(gamma_hat, perm_c)
-                )
-                row["mse_naive"] = m * n * float(
-                    np.linalg.norm(Sigma_hat - config.Sigma0) ** 2
-                )
-                theta_hat, proj_perm = _lse_with_permutation(Sigma_hat, config.r)
-                if np.any(proj_perm != np.arange(config.p2)):
-                    # fit targeted a permuted matrix; chart frames differ
-                    rows.append(row)
-                    continue
-                row["z"] = scale * (G_invhalf @ (theta_hat.as_vector() - theta0_vec))
-                row["mse_main"] = m * n * float(
-                    np.linalg.norm(sigma_of_theta_rect(theta_hat) - config.Sigma0)
-                    ** 2
-                )
-                row["excluded_flag"] = 1 if row["aligned_hamming"] > 0 else 0
-            except NumericsError:
-                pass  # stays flagged
-            rows.append(row)
-        summaries.append(summarize_replicates(n, d, rows, m=m))
-    return summaries
+    return run_study(config.study(), config.replicates, base_seed)

@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateTopBlock,
     DimensionMismatch,
     DomainViolation,
     InaccurateSolve,
-    NotOrthonormal,
+    RankMismatch,
     TopBlockNotPD,
 )
-from .matkit import commutation_matrix, kron, spectral_norm, unvec, vec
+from .matkit import _check_frame, commutation_matrix, kron, spectral_norm, unvec, vec
 
 __all__ = [
     "Phi",
@@ -48,7 +49,10 @@ DOMAIN_MARGIN = 1e-12
 TOP_BLOCK_TOL = 1e-14
 # Relative residual accepted from the (I - X) linear solves.
 SOLVE_RTOL = 1e-10
-ORTHONORMAL_TOL = 1e-8
+# Relative magnitude threshold defining the numerical rank of an input.
+RANK_RTOL = 1e-9
+# Smallest singular value of a basis top block we agree to rotate through.
+TOP_BLOCK_MIN = 1e-8
 
 # Certificates pass with a hair of headroom for roundoff in the bound itself.
 CERT_RTOL = 1e-9
@@ -125,13 +129,10 @@ class StiefelPlus:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        U = np.asarray(self.matrix, dtype=float)
-        if U.ndim != 2 or U.shape[0] < U.shape[1] or U.shape[1] < 1:
-            raise DimensionMismatch(f"frame must be tall p x r, got {U.shape}")
+        U = _check_frame(self.matrix, "frame")
+        if U.shape[1] < 1:
+            raise DimensionMismatch(f"frame needs r >= 1 columns, got {U.shape}")
         object.__setattr__(self, "matrix", U)
-        dev = np.max(np.abs(U.T @ U - np.eye(U.shape[1])))
-        if dev > ORTHONORMAL_TOL:
-            raise NotOrthonormal(f"||U^T U - I||_max = {dev:.3e}")
         _check_top_block(U)
 
     @property
@@ -157,15 +158,40 @@ def _check_top_block(U):
 
 
 def _as_frame_matrix(U):
-    if isinstance(U, StiefelPlus):
-        return U.matrix
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] < U.shape[1]:
-        raise DimensionMismatch(f"frame must be tall p x r, got {U.shape}")
-    dev = np.max(np.abs(U.T @ U - np.eye(U.shape[1])))
-    if dev > ORTHONORMAL_TOL:
-        raise NotOrthonormal(f"||U^T U - I||_max = {dev:.3e}")
-    return U
+    return U.matrix if isinstance(U, StiefelPlus) else _check_frame(U, "frame")
+
+
+def _top_block_frame(mags, V, r):
+    """Rotate the basis Vr = V[:, :r] of the r largest magnitudes (eigenvalue
+    magnitudes or singular values, nonincreasing) to a PD-top-block frame.
+
+    Raises RankMismatch unless exactly r magnitudes exceed RANK_RTOL times
+    the largest, and DegenerateTopBlock when the top block of Vr is
+    numerically singular.  With W1 s W2^T the SVD of that block, returns
+    (U, rotate): U = Vr W2 W1^T and rotate(B) = B W2 W1^T for other factors.
+    """
+    tol = RANK_RTOL * mags[0] if mags[0] > 0 else 0.0
+    if mags[r - 1] <= tol:
+        raise RankMismatch(
+            f"numerical rank below r={r}: magnitude {r} = {mags[r - 1]:.3e}"
+        )
+    if r < mags.size and mags[r] > tol:
+        raise RankMismatch(
+            f"numerical rank above r={r}: magnitude {r + 1} = {mags[r]:.3e}; "
+            "a magnitude tie at the cut makes the retained subspace ambiguous"
+        )
+    Vr = V[:, :r]
+    W1, s, W2t = np.linalg.svd(Vr[:r, :])
+    if s[-1] < TOP_BLOCK_MIN:
+        raise DegenerateTopBlock(
+            f"sigma_min of the leading block = {s[-1]:.3e}; the subspace has "
+            "no representative with a PD top block at this tolerance"
+        )
+
+    def rotate(B):
+        return B @ W2t.T @ W1.T
+
+    return rotate(Vr), rotate
 
 
 def _skew_of_rows(A):

@@ -24,10 +24,11 @@ the run seed, and formatting is locale-independent.
 
 import argparse
 import sys
+from operator import ge, le
 
 import numpy as np
 
-from . import bicluster, matkit, rectrep, sbm, spiked, symrep
+from . import bicluster, matkit, mc, rectrep, sbm, spiked, symrep
 from .cayley import GateNotMet, Phi, cayley_map
 from .cayley import lipschitz_certificate_A, taylor_certificate_U
 from .errors import ConfigError, NumericsError
@@ -71,48 +72,46 @@ def _check_keys(cfg, allowed):
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
-def _get_int(cfg, key, default=None):
+def _get(cfg, key, default, parse, expected):
+    """parse(cfg[key]), or default when the key is absent (None: required)."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return int(cfg[key])
+        return parse(cfg[key])
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected integer, got {cfg[key]!r}")
+        raise ConfigError(f"key {key!r}: expected {expected}, got {cfg[key]!r}")
+
+
+def _finite_float(text):
+    # nan and inf parse as floats, but no model or gate is defined at them
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _each(parse):
+    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok.strip())
+
+
+def _get_int(cfg, key, default=None):
+    return _get(cfg, key, default, int, "integer")
 
 
 def _get_float(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected number, got {cfg[key]!r}")
+    return _get(cfg, key, default, _finite_float, "finite number")
 
 
 def _get_ints(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return tuple(int(tok) for tok in cfg[key].split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected comma-separated integers")
+    return _get(cfg, key, default, _each(int), "comma-separated integers")
 
 
 def _get_floats(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return tuple(float(tok) for tok in cfg[key].split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected comma-separated numbers")
+    return _get(
+        cfg, key, default, _each(_finite_float), "comma-separated finite numbers"
+    )
 
 
 def _get_sizes(cfg, key):
@@ -135,7 +134,10 @@ def _get_sizes(cfg, key):
 
 
 def _resolve_seed(cfg, override):
-    return int(override) if override is not None else _get_int(cfg, "seed", 0)
+    seed = int(override) if override is not None else _get_int(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"need seed >= 0, got {seed}")
+    return seed
 
 
 def _resolve_out(cfg, override, fallback):
@@ -307,7 +309,7 @@ def _z_row(row, d):
     return [float("nan")] * d if z is None else [float(v) for v in z]
 
 
-def _summary_pairs(summary, d, mse_name):
+def _summary_pairs(summary, mse_name):
     pairs = [("n", summary.n)] if summary.m is None else [
         ("m", summary.m),
         ("n", summary.n),
@@ -317,12 +319,7 @@ def _summary_pairs(summary, d, mse_name):
         ("excluded", summary.excluded),
         ("cov_opnorm_dev_from_I", summary.cov_opnorm_dev_from_I),
     ]
-    cov = (
-        summary.coverage
-        if summary.coverage is not None
-        else np.full(d, np.nan)
-    )
-    pairs += [(f"coverage_{j + 1}", cov[j]) for j in range(d)]
+    pairs += [(f"coverage_{j + 1}", c) for j, c in enumerate(summary.coverage)]
     pairs += [
         (f"mean_mse_{mse_name}", summary.mean_mse_main),
         ("mean_mse_naive", summary.mean_mse_naive),
@@ -330,21 +327,9 @@ def _summary_pairs(summary, d, mse_name):
     return pairs
 
 
-def _eval_sim_gates(cfg, summaries, extra=()):
-    """Check the optional gate keys against every summary.  Returns ok."""
-    gates = []
-    if "max_cov_dev" in cfg:
-        bound = _get_float(cfg, "max_cov_dev")
-        worst = max(s.cov_opnorm_dev_from_I for s in summaries)
-        gates.append(("max_cov_dev", worst <= bound, worst, bound))
-    if "coverage_lo" in cfg or "coverage_hi" in cfg:
-        lo = _get_float(cfg, "coverage_lo", 0.0)
-        hi = _get_float(cfg, "coverage_hi", 1.0)
-        cmin = min(float(np.min(s.coverage)) for s in summaries)
-        cmax = max(float(np.max(s.coverage)) for s in summaries)
-        gates.append(("coverage_lo", cmin >= lo, cmin, lo))
-        gates.append(("coverage_hi", cmax <= hi, cmax, hi))
-    gates.extend(extra)
+def _gate_lines(gates):
+    """Summary lines for (name, passed, observed, bound) gates; each failure
+    is also reported on stderr.  Returns (every gate passed, lines)."""
     ok = True
     lines = []
     for name, good, observed, bound in gates:
@@ -369,95 +354,127 @@ def _eval_sim_gates(cfg, summaries, extra=()):
     return ok, lines
 
 
-_SIM_GATE_KEYS = {"max_cov_dev", "coverage_lo", "coverage_hi"}
+# keys that every study kind takes
+_STUDY_KEYS = {
+    "replicates",
+    "kmeans_restarts",
+    "seed",
+    "out",
+    "max_cov_dev",
+    "coverage_lo",
+    "coverage_hi",
+}
+
+
+def _study_counts(cfg):
+    """The replicate count and k-means restarts, as config fields."""
+    replicates = _get_int(cfg, "replicates")
+    if replicates < 0:
+        raise ConfigError(f"need replicates >= 0, got {replicates}")
+    restarts = _get_int(cfg, "kmeans_restarts", 20)
+    if restarts < 1:
+        raise ConfigError(f"need kmeans_restarts >= 1, got {restarts}")
+    return {"replicates": replicates, "kmeans_restarts": restarts}
+
+
+def _gate_bounds(cfg):
+    """Bounds of the gate keys present, in report order."""
+    bounds = {}
+    if "max_cov_dev" in cfg:
+        bounds["max_cov_dev"] = _get_float(cfg, "max_cov_dev")
+    if "coverage_lo" in cfg or "coverage_hi" in cfg:
+        bounds["coverage_lo"] = _get_float(cfg, "coverage_lo", 0.0)
+        bounds["coverage_hi"] = _get_float(cfg, "coverage_hi", 1.0)
+    if "min_exact_recovery" in cfg:
+        bounds["min_exact_recovery"] = _get_float(cfg, "min_exact_recovery")
+    return bounds
+
+
+def _run_study(cfg, config, mse_name, seed, out, report_recovery=False):
+    """Run the Monte Carlo study of an experiment config and write its CSV.
+
+    Gate bounds are parsed, and the truth model is built and validated at
+    every size (failures are config errors), before any replicate runs.
+    Rows are replicate, the size columns, aligned_hamming, excluded_flag,
+    z_1..z_d, mse_<mse_name> and mse_naive; then one summary line per size
+    (with exact_recovery if report_recovery) and one line per gate.  With
+    zero replicates only the header is written.  Returns whether every gate
+    passed.
+    """
+    bounds = _gate_bounds(cfg)
+    study = _as_config_error(config.study, "study truth")
+    d = study.theta0.d
+    lead = ["replicate", *study.sizes[0].fields, "aligned_hamming", "excluded_flag"]
+    header = lead + [f"z_{j + 1}" for j in range(d)]
+    header += [f"mse_{mse_name}", "mse_naive"]
+    if config.replicates == 0:
+        _write_csv(out, header, [], [])
+        return True
+    summaries = mc.run_study(study, config.replicates, seed)
+
+    rows = [
+        [row[key] for key in lead]
+        + _z_row(row, d)
+        + [row["mse_main"], row["mse_naive"]]
+        for summary in summaries
+        for row in summary.rows
+    ]
+    recoveries = [
+        float(np.mean([row["aligned_hamming"] == 0 for row in s.rows]))
+        for s in summaries
+    ]
+    comments = []
+    for summary, recovery in zip(summaries, recoveries):
+        pairs = _summary_pairs(summary, mse_name)
+        if report_recovery:
+            pairs.append(("exact_recovery", recovery))
+        comments.append(_kv_line(pairs))
+    # per gate: the worst value over all sizes, and how it must compare
+    checks = {
+        "max_cov_dev": (max(s.cov_opnorm_dev_from_I for s in summaries), le),
+        "coverage_lo": (min(float(np.min(s.coverage)) for s in summaries), ge),
+        "coverage_hi": (max(float(np.max(s.coverage)) for s in summaries), le),
+        "min_exact_recovery": (min(recoveries), ge),
+    }
+    gates = []
+    for name, bound in bounds.items():
+        observed, passes = checks[name]
+        gates.append((name, passes(observed, bound), observed, bound))
+    ok, gate_lines = _gate_lines(gates)
+    _write_csv(out, header, rows, comments + gate_lines)
+    return ok
 
 
 def _run_sbm_sim(cfg, seed_override, out_override):
-    allowed = {
-        "K",
-        "Sigma0",
-        "r",
-        "n_values",
-        "replicates",
-        "pi",
-        "kmeans_restarts",
-        "seed",
-        "out",
-    } | _SIM_GATE_KEYS
-    _check_keys(cfg, allowed)
+    _check_keys(cfg, {"K", "Sigma0", "r", "n_values", "pi"} | _STUDY_KEYS)
     K = _get_int(cfg, "K")
     vals = _get_floats(cfg, "Sigma0")
     if K < 1 or len(vals) != K * K:
         raise ConfigError(f"Sigma0 needs {K * K} entries (row-major), got {len(vals)}")
-    Sigma0 = np.array(vals).reshape(K, K)
     r = _get_int(cfg, "r")
     if not 1 <= r <= K:
         raise ConfigError(f"need 1 <= r <= K, got r={r}, K={K}")
     n_values = _get_ints(cfg, "n_values")
     if not n_values or any(n < 1 for n in n_values):
         raise ConfigError("n_values must be positive integers")
-    replicates = _get_int(cfg, "replicates")
-    if replicates < 0:
-        raise ConfigError(f"need replicates >= 0, got {replicates}")
     pi = _get_floats(cfg, "pi", ())
     if pi and (len(pi) != K or any(w <= 0 for w in pi)):
         raise ConfigError(f"pi needs {K} positive entries")
-    restarts = _get_int(cfg, "kmeans_restarts", 20)
-    seed = _resolve_seed(cfg, seed_override)
-    out = _resolve_out(cfg, out_override, "sbm_sim.csv")
-
-    theta0 = _as_config_error(
-        lambda: symrep.theta_of_sigma(Sigma0, r), "Sigma0 for rank r"
-    )
-    d = theta0.d
     config = sbm.SbmExperimentConfig(
-        Sigma0=Sigma0,
+        Sigma0=np.array(vals).reshape(K, K),
         r=r,
         n_values=n_values,
-        replicates=replicates,
         pi=np.array(pi) if pi else None,
-        kmeans_restarts=restarts,
+        **_study_counts(cfg),
     )
-    summaries = sbm.sbm_experiment(config, seed)
-
-    header = ["replicate", "n", "aligned_hamming", "excluded_flag"]
-    header += [f"z_{j + 1}" for j in range(d)]
-    header += ["mse_onestep", "mse_naive"]
-    rows = []
-    for summary in summaries:
-        for row in summary.rows:
-            rows.append(
-                [row["replicate"], row["n"], row["aligned_hamming"], row["excluded_flag"]]
-                + _z_row(row, d)
-                + [row["mse_main"], row["mse_naive"]]
-            )
-    if replicates == 0:
-        _write_csv(out, header, [], [])
-        return True
-    comments = [_kv_line(_summary_pairs(s, d, "onestep")) for s in summaries]
-    ok, gate_lines = _eval_sim_gates(cfg, summaries)
-    _write_csv(out, header, rows, comments + gate_lines)
-    return ok
+    seed = _resolve_seed(cfg, seed_override)
+    out = _resolve_out(cfg, out_override, "sbm_sim.csv")
+    return _run_study(cfg, config, "onestep", seed, out)
 
 
 def _run_bicluster_sim(cfg, seed_override, out_override):
-    allowed = {
-        "p1",
-        "p2",
-        "Sigma0",
-        "r",
-        "sizes",
-        "replicates",
-        "sigma2",
-        "w",
-        "pi",
-        "noise",
-        "kmeans_restarts",
-        "seed",
-        "out",
-        "min_exact_recovery",
-    } | _SIM_GATE_KEYS
-    _check_keys(cfg, allowed)
+    allowed = {"p1", "p2", "Sigma0", "r", "sizes", "sigma2", "w", "pi", "noise"}
+    _check_keys(cfg, allowed | {"min_exact_recovery"} | _STUDY_KEYS)
     p1 = _get_int(cfg, "p1")
     p2 = _get_int(cfg, "p2")
     vals = _get_floats(cfg, "Sigma0")
@@ -465,16 +482,12 @@ def _run_bicluster_sim(cfg, seed_override, out_override):
         raise ConfigError(
             f"Sigma0 needs {p1 * p2} entries (row-major), got {len(vals)}"
         )
-    Sigma0 = np.array(vals).reshape(p1, p2)
     r = _get_int(cfg, "r")
     if not 1 <= r <= min(p1, p2):
         raise ConfigError(f"need 1 <= r <= min(p1, p2), got r={r}")
     sizes = _get_sizes(cfg, "sizes")
     if any(m < 1 or n < 1 for m, n in sizes):
         raise ConfigError("sizes must be positive")
-    replicates = _get_int(cfg, "replicates")
-    if replicates < 0:
-        raise ConfigError(f"need replicates >= 0, got {replicates}")
     sigma2 = _get_float(cfg, "sigma2", 1.0)
     if sigma2 <= 0:
         raise ConfigError(f"need sigma2 > 0, got {sigma2}")
@@ -487,65 +500,19 @@ def _run_bicluster_sim(cfg, seed_override, out_override):
     noise = cfg.get("noise", "gaussian")
     if noise not in ("gaussian", "uniform"):
         raise ConfigError(f"noise must be gaussian or uniform, got {noise!r}")
-    restarts = _get_int(cfg, "kmeans_restarts", 20)
-    seed = _resolve_seed(cfg, seed_override)
-    out = _resolve_out(cfg, out_override, "bicluster_sim.csv")
-
-    theta0 = _as_config_error(
-        lambda: rectrep.theta_of_sigma_rect(Sigma0, r), "Sigma0 for rank r"
-    )
-    d = theta0.d
     config = bicluster.BiclusterExperimentConfig(
-        Sigma0=Sigma0,
+        Sigma0=np.array(vals).reshape(p1, p2),
         r=r,
         sizes=sizes,
-        replicates=replicates,
         sigma2=sigma2,
         w=np.array(w) if w else None,
         pi=np.array(pi) if pi else None,
         noise=noise,
-        kmeans_restarts=restarts,
+        **_study_counts(cfg),
     )
-    summaries = bicluster.bicluster_experiment(config, seed)
-
-    header = ["replicate", "m", "n", "aligned_hamming", "excluded_flag"]
-    header += [f"z_{j + 1}" for j in range(d)]
-    header += ["mse_lse", "mse_naive"]
-    rows = []
-    for summary in summaries:
-        for row in summary.rows:
-            rows.append(
-                [
-                    row["replicate"],
-                    row["m"],
-                    row["n"],
-                    row["aligned_hamming"],
-                    row["excluded_flag"],
-                ]
-                + _z_row(row, d)
-                + [row["mse_main"], row["mse_naive"]]
-            )
-    if replicates == 0:
-        _write_csv(out, header, [], [])
-        return True
-
-    recoveries = [
-        float(np.mean([row["aligned_hamming"] == 0 for row in s.rows]))
-        for s in summaries
-    ]
-    comments = []
-    for summary, recovery in zip(summaries, recoveries):
-        pairs = _summary_pairs(summary, d, "lse")
-        pairs.append(("exact_recovery", recovery))
-        comments.append(_kv_line(pairs))
-    extra = []
-    if "min_exact_recovery" in cfg:
-        bound = _get_float(cfg, "min_exact_recovery")
-        worst = min(recoveries)
-        extra.append(("min_exact_recovery", worst >= bound, worst, bound))
-    ok, gate_lines = _eval_sim_gates(cfg, summaries, extra)
-    _write_csv(out, header, rows, comments + gate_lines)
-    return ok
+    seed = _resolve_seed(cfg, seed_override)
+    out = _resolve_out(cfg, out_override, "bicluster_sim.csv")
+    return _run_study(cfg, config, "lse", seed, out, report_recovery=True)
 
 
 # =====================================================================
@@ -590,6 +557,8 @@ def _run_spiked(cfg, seed_override, out_override):
         support = tuple(int(i) for i in np.flatnonzero(np.any(A0 != 0.0, axis=1)))
     seed = _resolve_seed(cfg, seed_override)
     out = _resolve_out(cfg, out_override, "spiked_limit_posterior.csv")
+    gate = "min_support0_weight"
+    bound = _get_float(cfg, gate) if gate in cfg else None
 
     model = _as_config_error(
         lambda: spiked.SpikedModel(
@@ -640,27 +609,11 @@ def _run_spiked(cfg, seed_override, out_override):
             ]
         ),
     ]
-    ok = True
-    if "min_support0_weight" in cfg:
-        bound = _get_float(cfg, "min_support0_weight")
-        ok = support0_weight >= bound
-        comments.append(
-            _kv_line(
-                [
-                    ("gate", "min_support0_weight"),
-                    ("observed", support0_weight),
-                    ("bound", bound),
-                    ("status", "pass" if ok else "fail"),
-                ]
-            )
-        )
-        if not ok:
-            print(
-                f"gate failed: min_support0_weight observed={support0_weight!r} "
-                f"bound={bound!r}",
-                file=sys.stderr,
-            )
-    _write_csv(out, header, rows, comments)
+    gates = [] if bound is None else [
+        (gate, support0_weight >= bound, support0_weight, bound)
+    ]
+    ok, gate_lines = _gate_lines(gates)
+    _write_csv(out, header, rows, comments + gate_lines)
     return ok
 
 

@@ -2,14 +2,18 @@
 
 Shared by the block-model and biclustering pipelines: both project a noisy
 block matrix onto its rank-r representation by minimizing
-||target - Sigma(theta)||_F^2 over the chart.
+||target - Sigma(theta)||_F^2 over the chart, starting from the first class
+ordering whose truncation has chart coordinates (fit_with_permutation).
 """
+
+from itertools import permutations
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, ProjectionFailed
+from .matkit import vec
 
-__all__ = ["refine_least_squares"]
+__all__ = ["refine_least_squares", "fit_with_permutation"]
 
 GRAD_TOL = 1e-10
 MAX_ITER = 100
@@ -67,3 +71,27 @@ def refine_least_squares(x0, target_vec, value_fn, jacobian_fn, from_vector):
         "grad_norm": grad_norm,
         "converged": grad_norm <= GRAD_TOL,
     }
+
+
+def fit_with_permutation(k, start, value_fn, jacobian_fn, from_vector):
+    """Least-squares chart fit from the first class ordering with a start.
+
+    start(idx) returns (initial chart point, target matrix) for the class
+    ordering idx, or raises a NumericsError.  Orderings of range(k) are
+    tried lexicographically; the first that starts is refined against
+    vec(target) by refine_least_squares, which gets the other arguments.
+    Returns (theta, idx); raises ProjectionFailed when no ordering starts.
+    """
+    for perm in permutations(range(k)):
+        idx = np.array(perm, dtype=np.int64)
+        try:
+            init, target = start(idx)
+        except NumericsError:
+            continue
+        theta, _ = refine_least_squares(
+            init.as_vector(), vec(target), value_fn, jacobian_fn, from_vector
+        )
+        return theta, idx
+    raise ProjectionFailed(
+        f"no ordering of the {k} classes admits a representer with a PD top block"
+    )

@@ -9,13 +9,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley import Certificate, Phi, StiefelPlus, cayley_inverse, cayley_jacobian, cayley_map
-from .errors import (
-    DegenerateTopBlock,
-    DimensionMismatch,
-    RankMismatch,
-    SingularGram,
+from .cayley import (
+    Certificate,
+    Phi,
+    StiefelPlus,
+    _top_block_frame,
+    cayley_inverse,
+    cayley_jacobian,
+    cayley_map,
 )
+from .errors import DimensionMismatch, SingularGram
 from .matkit import kron, spectral_norm, unvec, vec
 
 __all__ = [
@@ -27,10 +30,6 @@ __all__ = [
     "RegularityRectReport",
     "regularity_bound_rect",
 ]
-
-RANK_RTOL = 1e-9
-TOP_BLOCK_MIN = 1e-8
-
 
 @dataclass(frozen=True)
 class ThetaRect:
@@ -100,23 +99,8 @@ def theta_of_sigma_rect(Sigma, r):
     if not (1 <= r <= min(p1, p2)):
         raise DimensionMismatch(f"need 1 <= r <= min(p1, p2), got r={r}")
     V1, s, V2t = np.linalg.svd(Sigma, full_matrices=False)
-    tol = RANK_RTOL * s[0] if s[0] > 0 else 0.0
-    if s[r - 1] <= tol:
-        raise RankMismatch(f"numerical rank below r={r}: sigma_{r} = {s[r - 1]:.3e}")
-    if r < s.size and s[r] > tol:
-        raise RankMismatch(
-            f"numerical rank above r={r}: sigma_{r + 1} = {s[r]:.3e}; "
-            "ties at the cut make the retained subspace ambiguous"
-        )
-    V1 = V1[:, :r]
-    V2 = V2t[:r, :].T
-    W1, sv, W2t = np.linalg.svd(V2[:r, :])
-    if sv[-1] < TOP_BLOCK_MIN:
-        raise DegenerateTopBlock(
-            f"sigma_min of the leading block = {sv[-1]:.3e}"
-        )
-    U = V2 @ W2t.T @ W1.T
-    M = V1 @ np.diag(s[:r]) @ W2t.T @ W1.T
+    U, rotate = _top_block_frame(s, V2t.T, r)
+    M = rotate(V1[:, :r] @ np.diag(s[:r]))
     phi = cayley_inverse(StiefelPlus(U))
     return ThetaRect(p1, phi, vec(M))
 

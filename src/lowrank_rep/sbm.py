@@ -10,7 +10,6 @@ errors accordingly.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 import scipy.sparse.linalg
@@ -21,15 +20,13 @@ from .errors import (
     AsymmetricInput,
     DimensionMismatch,
     EmptyBlock,
-    NumericsError,
     ProbabilityOutOfRange,
-    ProjectionFailed,
     RankMismatch,
     SingularFisher,
 )
-from .gaussnewton import refine_least_squares
-from .mc import sqrt_psd, summarize_replicates
-from .rngs import generator, replicate_seed, substream
+from .gaussnewton import fit_with_permutation
+from .mc import Study, StudySize, run_study, sqrt_psd
+from .rngs import generator, substream
 from .symrep import ThetaSym, dsigma, sigma_of_theta, theta_of_sigma
 from .matkit import vec
 
@@ -247,32 +244,22 @@ def _rank_r_truncation(T, r):
     return (V[:, order] * lam[order]) @ V[:, order].T
 
 
-def _project_with_permutation(Sigma_tilde, r):
+def _project(Sigma_tilde, r):
+    # (theta, idx): rows and columns are reordered together, then truncated
     T = np.asarray(Sigma_tilde, dtype=float)
     K = T.shape[0]
-    init = None
-    for perm in permutations(range(K)):
-        idx = np.array(perm, dtype=np.int64)
+
+    def start(idx):
         T_perm = T[np.ix_(idx, idx)]
-        try:
-            init = theta_of_sigma(_rank_r_truncation(T_perm, r), r)
-        except NumericsError:
-            continue
-        target = T_perm
-        break
-    if init is None:
-        raise ProjectionFailed(
-            f"no row/column permutation of the {K}x{K} input admits a "
-            f"rank-{r} representer with a PD top block"
-        )
-    theta, _ = refine_least_squares(
-        init.as_vector(),
-        vec(target),
+        return theta_of_sigma(_rank_r_truncation(T_perm, r), r), T_perm
+
+    return fit_with_permutation(
+        K,
+        start,
         lambda th: vec(sigma_of_theta(th)),
         dsigma,
         lambda v: ThetaSym.from_vector(K, r, v),
     )
-    return theta, idx
 
 
 def project_to_manifold(Sigma_tilde, r):
@@ -286,7 +273,7 @@ def project_to_manifold(Sigma_tilde, r):
     chart); callers sensitive to ordering should reorder classes first.
     Refined by damped Gauss-Newton.
     """
-    theta, _ = _project_with_permutation(Sigma_tilde, r)
+    theta, _ = _project(Sigma_tilde, r)
     return theta
 
 
@@ -404,63 +391,48 @@ class SbmExperimentConfig:
     def K(self):
         return self.Sigma0.shape[0]
 
+    def study(self):
+        """The mc.Study of this design: the chart point of Sigma0, J^{1/2}
+        as standardizer, and one replicate pipeline per network size.  The
+        truth model is built and validated at every size here, so a bad
+        design raises before any replicate runs."""
+        sizes = tuple(_study_size(self, n) for n in self.n_values)
+        theta0 = theta_of_sigma(self.Sigma0, self.r)
+        J_half = sqrt_psd(asymptotic_cov_J(theta0, self.pi))
+        return Study(theta0, J_half, sigma_of_theta, sizes)
+
+
+def _study_size(config, n):
+    tau0 = balanced_assignment(n, config.pi)
+    model = SbmModel(config.Sigma0, tau0, config.r, config.pi)
+
+    def mse(Sigma):
+        return n * float(np.linalg.norm(Sigma - config.Sigma0) ** 2)
+
+    def sample(seed):
+        return sample_adjacency(model, seed)
+
+    def replicate(A, seed, row):
+        tau_hat = spectral_cluster_sbm(
+            A, config.r, config.K, seed, restarts=config.kmeans_restarts
+        )
+        perm, ham = align_labels(tau_hat, tau0)
+        row["aligned_hamming"] = ham
+        counts = block_counts(A, relabel(tau_hat, perm))
+        Sigma_naive = block_mean_estimator(counts)
+        row["mse_naive"] = mse(Sigma_naive)
+        theta_tilde, idx = _project(clip_probabilities(Sigma_naive), config.r)
+        return idx, lambda: one_step(theta_tilde, counts)
+
+    return StudySize({"n": n}, n, mse, sample, replicate)
+
 
 def sbm_experiment(config, base_seed):
     """Run the full pipeline per replicate and summarize per network size.
 
-    Replicate i of every size uses seed base_seed + i (counter-based
-    streams, so replicates are independent and order-free).  Replicates
-    whose clustering is not exactly recovered, or that fail numerically,
-    are flagged, counted, and excluded from the normality statistics.
+    Replicate i of every size uses seed base_seed + i; replicates whose
+    clustering is not exactly recovered, or that fail numerically, are
+    flagged, counted, and excluded from the normality statistics
+    (mc.run_study).
     """
-    theta0 = theta_of_sigma(config.Sigma0, config.r)
-    theta0_vec = theta0.as_vector()
-    d = theta0.d
-    J = asymptotic_cov_J(theta0, config.pi)
-    J_half = sqrt_psd(J)
-    summaries = []
-    for n in config.n_values:
-        tau0 = balanced_assignment(n, config.pi)
-        model = SbmModel(config.Sigma0, tau0, config.r, config.pi)
-        rows = []
-        for i in range(config.replicates):
-            seed = replicate_seed(base_seed, i)
-            row = {
-                "replicate": i,
-                "n": n,
-                "aligned_hamming": -1,
-                "excluded_flag": 1,
-                "z": None,
-                "mse_main": np.nan,
-                "mse_naive": np.nan,
-            }
-            try:
-                A = sample_adjacency(model, seed)
-                tau_hat = spectral_cluster_sbm(
-                    A, config.r, config.K, seed, restarts=config.kmeans_restarts
-                )
-                perm, ham = align_labels(tau_hat, tau0)
-                row["aligned_hamming"] = ham
-                counts = block_counts(A, relabel(tau_hat, perm))
-                Sigma_naive = block_mean_estimator(counts)
-                row["mse_naive"] = n * float(
-                    np.linalg.norm(Sigma_naive - config.Sigma0) ** 2
-                )
-                theta_tilde, proj_perm = _project_with_permutation(
-                    clip_probabilities(Sigma_naive), config.r
-                )
-                if np.any(proj_perm != np.arange(config.K)):
-                    # fit targeted a permuted matrix; labels no longer match
-                    rows.append(row)
-                    continue
-                theta_hat = one_step(theta_tilde, counts)
-                row["z"] = n * (J_half @ (theta_hat.as_vector() - theta0_vec))
-                row["mse_main"] = n * float(
-                    np.linalg.norm(sigma_of_theta(theta_hat) - config.Sigma0) ** 2
-                )
-                row["excluded_flag"] = 1 if ham > 0 else 0
-            except NumericsError:
-                pass  # flagged and counted via excluded_flag
-            rows.append(row)
-        summaries.append(summarize_replicates(n, d, rows))
-    return summaries
+    return run_study(config.study(), config.replicates, base_seed)

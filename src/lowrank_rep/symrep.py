@@ -19,16 +19,15 @@ from .cayley import (
     GateNotMet,
     Phi,
     StiefelPlus,
+    _top_block_frame,
     cayley_inverse,
     cayley_jacobian,
     cayley_map,
 )
 from .errors import (
     AsymmetricInput,
-    DegenerateTopBlock,
     DimensionMismatch,
     NotPositiveDefinite,
-    RankMismatch,
     SingularGram,
 )
 from .matkit import (
@@ -51,12 +50,6 @@ __all__ = [
     "RegularityReport",
     "regularity_bounds",
 ]
-
-# Relative eigenvalue threshold defining the numerical rank of an input.
-RANK_RTOL = 1e-9
-# Smallest singular value of the top block we agree to invert through.
-TOP_BLOCK_MIN = 1e-8
-
 
 @dataclass(frozen=True)
 class ThetaSym:
@@ -140,28 +133,8 @@ def theta_of_sigma(Sigma, r):
     Sigma = 0.5 * (Sigma + Sigma.T)
 
     lam, V = _eig_by_magnitude(Sigma)
-    mags = np.abs(lam)
-    tol = RANK_RTOL * mags[0] if mags[0] > 0 else 0.0
-    if mags[r - 1] <= tol:
-        raise RankMismatch(
-            f"numerical rank below r={r}: |lambda_{r}| = {mags[r - 1]:.3e}"
-        )
-    if r < p and mags[r] > tol:
-        raise RankMismatch(
-            f"numerical rank above r={r}: |lambda_{r + 1}| = {mags[r]:.3e}; "
-            "a magnitude tie at the cut makes the retained subspace ambiguous"
-        )
-
-    Vr = V[:, :r]
-    W1, s, W2t = np.linalg.svd(Vr[:r, :])
-    if s[-1] < TOP_BLOCK_MIN:
-        raise DegenerateTopBlock(
-            f"sigma_min of the leading block = {s[-1]:.3e}; the subspace has "
-            "no representative with a PD top block at this tolerance"
-        )
-    U = Vr @ W2t.T @ W1.T
-    frame = StiefelPlus(U)
-    phi = cayley_inverse(frame)
+    U, _ = _top_block_frame(np.abs(lam), V, r)
+    phi = cayley_inverse(StiefelPlus(U))
     M = U.T @ Sigma @ U
     return ThetaSym(phi, vech(0.5 * (M + M.T)))
 

@@ -23,7 +23,7 @@ from lowrank_rep.bicluster import (
     spectral_cocluster,
 )
 from lowrank_rep.cluster import ClusterAssignment, align_labels, relabel
-from lowrank_rep.errors import DimensionMismatch, EmptyBlock
+from lowrank_rep.errors import DimensionMismatch, EmptyBlock, ProjectionFailed
 from lowrank_rep.matkit import vec
 from lowrank_rep.mc import invsqrt_pd
 from lowrank_rep.rectrep import (
@@ -264,6 +264,22 @@ def test_lse_beats_truth_and_is_stationary():
     assert fit <= ref + 1e-12
     grad = dsigma_rect(out).T @ vec(target - sigma_of_theta_rect(out))
     assert np.linalg.norm(grad) <= 1e-8
+
+
+def test_lse_falls_back_to_first_admissible_column_permutation():
+    # column 0 is zero, so the right basis has a singular top block under
+    # every column ordering that leaves column 0 among the first two
+    T = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.5, 0.5]])
+    out = lse_theta(T, 2)
+    target = T[:, [1, 2, 0]]
+    assert np.allclose(sigma_of_theta_rect(out), target, atol=1e-12)
+    grad = dsigma_rect(out).T @ vec(target - sigma_of_theta_rect(out))
+    assert np.linalg.norm(grad) <= 1e-10
+
+
+def test_lse_without_admissible_permutation_fails():
+    with pytest.raises(ProjectionFailed):
+        lse_theta(np.zeros((3, 3)), 2)
 
 
 # ---- limiting covariance ----

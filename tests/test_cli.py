@@ -1,8 +1,10 @@
 """End-to-end tests of the command line front end.
 
-Every test shells out to `python3 -m lowrank_rep.cli` the way a user would,
-so argument handling, exit codes, and the CSV contract are all exercised
-through the real entry point.
+Every test but the bad-value table shells out to `python3 -m lowrank_rep.cli`
+the way a user would, so argument handling, exit codes, and the CSV contract
+are all exercised through the real entry point.  The bad-value table calls
+`cli.run` in-process, so that an exception escaping it fails the test rather
+than showing up as exit status 1, the status of a failed gate.
 """
 
 import os
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import lowrank_rep
+from lowrank_rep import cli
 
 # the child imports the same package as this process, installed or not
 PACKAGE_ROOT = str(Path(lowrank_rep.__file__).resolve().parents[1])
@@ -355,3 +358,106 @@ def test_spiked_enumeration_blowup_exits_three(tmp_path):
     out = run_cli("spiked-limit-posterior", "--config", cfg)
     assert out.returncode == 3
     assert "numerical failure" in out.stderr
+
+
+# ---- bad values: every one is a config error (exit 2), found before the run ----
+
+BAD_BASES = {
+    "sbm-sim": {
+        "K": "3",
+        "Sigma0": "0.65,0.15,0.415,0.15,0.5,0.43,0.415,0.43,0.505",
+        "r": "2",
+        "n_values": "60",
+        "replicates": "1",
+    },
+    "bicluster-sim": {
+        "p1": "3",
+        "p2": "3",
+        "Sigma0": "2,4.5,0,1.5,-1,5,3.5,3.5,5",
+        "r": "2",
+        "sizes": "30x30",
+        "replicates": "1",
+        "sigma2": "0.25",
+    },
+    "spiked-limit-posterior": {
+        "p": "4",
+        "r": "1",
+        "A0": "0.4,0,-0.3",
+        "mu": "2.0",
+        "n": "100",
+        "cap": "2",
+    },
+}
+NONFINITE = ("nan", "inf", "-inf")
+
+
+def _first_entry(kind, key, bad):
+    """The base list of `key` with its first entry replaced by `bad`."""
+    return ",".join([bad] + BAD_BASES[kind][key].split(",")[1:])
+
+
+def _bad_cases():
+    sbm, bic, spk = "sbm-sim", "bicluster-sim", "spiked-limit-posterior"
+    cases = [(sbm, {"K": v}) for v in ("0", "-1", "nan", "2")]
+    cases += [
+        (sbm, {"Sigma0": _first_entry(sbm, "Sigma0", v)})
+        for v in NONFINITE + ("0", "-1", "1.5")
+    ]
+    cases += [(sbm, {"Sigma0": "0.5,0.2,0.2,0.5"})]
+    cases += [(sbm, {"r": v}) for v in ("0", "-1", "4", "nan")]
+    cases += [(sbm, {"n_values": v}) for v in ("0", "-1", "nan", "")]
+    cases += [
+        (sbm, {"pi": v})
+        for v in ("nan,0.5,0.5", "inf,0.5,0.5", "-inf,0.5,0.5", "0,0.5,0.5")
+        + ("-1,1,1", "0.5,0.5", "0.2,0.3,0.4")
+    ]
+    # a two-class design whose proportions do not sum to one
+    cases += [(sbm, {"K": "2", "Sigma0": "0.6,0.3,0.3,0.5", "pi": "0.5,0.7"})]
+    for key in ("p1", "p2"):
+        cases += [(bic, {key: v}) for v in ("0", "-1", "nan")]
+    cases += [
+        (bic, {"Sigma0": _first_entry(bic, "Sigma0", v)}) for v in NONFINITE
+    ]
+    cases += [(bic, {"Sigma0": "1,2,3"})]
+    cases += [(bic, {"r": v}) for v in ("0", "-1", "3", "4", "nan")]
+    cases += [(bic, {"sizes": v}) for v in ("0x30", "-1x30", "nanx30", "30")]
+    cases += [(bic, {"sigma2": v}) for v in NONFINITE + ("0", "-1")]
+    for key in ("w", "pi"):
+        cases += [
+            (bic, {key: v})
+            for v in ("nan,0.5,0.5", "inf,0.5,0.5", "-inf,0.5,0.5", "0,0.5,0.5")
+            + ("-1,1,1", "0.5,0.5", "0.3,0.3,0.3")
+        ]
+    cases += [(bic, {"p1": "2", "Sigma0": "2,4.5,0,1.5,-1,5", "w": "0.3,0.3"})]
+    cases += [(bic, {"min_exact_recovery": v}) for v in NONFINITE]
+    for kind in (sbm, bic):
+        cases += [(kind, {"replicates": v}) for v in ("-1", "nan")]
+        cases += [(kind, {"kmeans_restarts": v}) for v in ("0", "-1", "nan")]
+        cases += [(kind, {"seed": v}) for v in ("-1", "nan")]
+        for key in ("max_cov_dev", "coverage_lo", "coverage_hi"):
+            cases += [(kind, {key: v}) for v in NONFINITE]
+    cases += [(spk, {"mu": v}) for v in NONFINITE]
+    cases += [(spk, {"A0": _first_entry(spk, "A0", v)}) for v in NONFINITE]
+    cases += [(spk, {"a_const": v}) for v in NONFINITE]
+    cases += [(spk, {"min_support0_weight": "nan"}), (spk, {"seed": "-1"})]
+    return [
+        pytest.param(kind, overrides, id=f"{kind}:{overrides}")
+        for kind, overrides in cases
+    ]
+
+
+@pytest.mark.parametrize("kind, overrides", _bad_cases())
+def test_bad_value_exits_two_before_the_run(kind, overrides, tmp_path, capsys):
+    text = "".join(f"{k}={v}\n" for k, v in {**BAD_BASES[kind], **overrides}.items())
+    cfg = write_config(tmp_path / "c.cfg", text)
+    out_csv = tmp_path / "out.csv"
+    assert cli.run([kind, "--config", cfg, "--out", str(out_csv)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_negative_seed_flag_exits_two(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", "p=4\nr=2\ndraws=1\n")
+    out = run_cli("check-bounds", "--config", cfg, "--seed", "-1")
+    assert out.returncode == 2
+    assert "config error" in out.stderr

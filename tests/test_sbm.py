@@ -13,12 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lowrank_rep import sbm
 from lowrank_rep.cluster import ClusterAssignment, align_labels, relabel
 from lowrank_rep.errors import (
+    DegenerateTopBlock,
     DimensionMismatch,
     EmptyBlock,
     ProbabilityOutOfRange,
+    ProjectionFailed,
     RankMismatch,
+    SingularFisher,
 )
 from lowrank_rep.matkit import duplication_pinv, vec, vech
 from lowrank_rep.rngs import generator
@@ -345,6 +349,24 @@ def test_project_beats_truth_and_is_stationary():
     assert np.linalg.norm(grad) <= 1e-8
 
 
+def test_project_falls_back_to_first_admissible_permutation():
+    # class 0 carries no mass, so the rank-2 basis has a singular top block
+    # under every ordering that leaves class 0 in the first two rows; (1, 2, 0)
+    # is the first ordering, lexicographically, that admits a representer
+    T = np.diag([0.0, 0.6, 0.3])
+    out = project_to_manifold(T, 2)
+    idx = np.array([1, 2, 0])
+    target = T[np.ix_(idx, idx)]
+    assert np.allclose(sigma_of_theta(out), target, atol=1e-12)
+    grad = dsigma(out).T @ vec(target - sigma_of_theta(out))
+    assert np.linalg.norm(grad) <= 1e-10
+
+
+def test_project_without_admissible_permutation_fails():
+    with pytest.raises(ProjectionFailed):
+        project_to_manifold(np.zeros((3, 3)), 2)
+
+
 # ---- likelihood, score, Fisher ----
 
 
@@ -577,3 +599,36 @@ def test_experiment_full_rank_mse_equivalence():
     assert summary.excluded <= 2
     assert summary.mean_mse_main <= summary.mean_mse_naive * 1.05
     assert summary.mean_mse_main >= summary.mean_mse_naive * 0.95
+
+
+def test_experiment_excludes_permuted_projection(monkeypatch):
+    # a rank-2 block matrix in (0,1) whose range holds e_3, so its basis has
+    # a singular top block and the fit has to reorder the classes
+    naive = np.array([[0.4, 0.2, 0.3], [0.2, 0.1, 0.15], [0.3, 0.15, 0.5]])
+    with pytest.raises(DegenerateTopBlock):
+        theta_of_sigma(naive, 2)
+    fit = sigma_of_theta(project_to_manifold(naive, 2))
+    assert np.allclose(fit, naive[np.ix_([0, 2, 1], [0, 2, 1])], atol=1e-12)
+    monkeypatch.setattr(sbm, "block_mean_estimator", lambda counts: naive)
+    config = SbmExperimentConfig(SIGMA_R2, r=2, n_values=(300,), replicates=2)
+    (summary,) = sbm_experiment(config, base_seed=77)
+    assert summary.excluded == 2
+    for row in summary.rows:
+        assert row["excluded_flag"] == 1 and row["z"] is None
+        assert row["aligned_hamming"] >= 0
+        assert row["mse_naive"] == 300 * float(np.linalg.norm(naive - SIGMA_R2) ** 2)
+        assert np.isnan(row["mse_main"])
+
+
+def test_experiment_failed_replicate_keeps_recorded_fields(monkeypatch):
+    def fail(theta, counts):
+        raise SingularFisher("forced")
+
+    monkeypatch.setattr(sbm, "one_step", fail)
+    config = SbmExperimentConfig(SIGMA_R2, r=2, n_values=(300,), replicates=2)
+    (summary,) = sbm_experiment(config, base_seed=77)
+    assert summary.excluded == 2
+    for row in summary.rows:
+        assert row["excluded_flag"] == 1 and row["z"] is None
+        assert row["aligned_hamming"] >= 0 and np.isfinite(row["mse_naive"])
+        assert np.isnan(row["mse_main"])

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .cluster import ClusterAssignment, align_labels, kmeans, relabel
+from .cluster import (
+    ClusterAssignment,
+    align_labels,
+    check_alignable,
+    kmeans,
+    relabel,
+)
 from .errors import DimensionMismatch, EmptyBlock, SingularGram
 from .gaussnewton import fit_with_permutation
 from .matkit import vec
@@ -309,7 +315,10 @@ class BiclusterExperimentConfig:
         """The mc.Study of this design: the chart point of Sigma0, G^{-1/2}
         as standardizer, and one replicate pipeline per (m, n) size.  The
         truth model is built and validated at every size here, so a bad
-        design raises before any replicate runs."""
+        design raises before any replicate runs, as does p1 or p2 above
+        cluster.MAX_ALIGN_K (TooManyClusters)."""
+        check_alignable(self.p1)
+        check_alignable(self.p2)
         sizes = tuple(_study_size(self, m, n) for m, n in self.sizes)
         theta0 = theta_of_sigma_rect(self.Sigma0, self.r)
         G = asymptotic_cov_G(theta0, self.w, self.pi, self.sigma2)

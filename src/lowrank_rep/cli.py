@@ -157,12 +157,32 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
+def _fmt_code(kind):
+    # the %-conversion that prints a value of this type as _fmt does
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
 def _write_csv(path, header, rows, comments):
-    """Data rows first, then '#'-prefixed summary lines.  LF throughout."""
+    """Data rows first, then '#'-prefixed summary lines.  LF throughout.
+
+    Each row goes through one %-template, built once per tuple of cell
+    types, which prints the same bytes as joining _fmt over its cells.
+    """
+    templates = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = ",".join(map(_fmt_code, kinds)) + "\n"
+                templates[kinds] = template
+            fh.write(template % row)
         for line in comments:
             fh.write("# " + line + "\n")
 

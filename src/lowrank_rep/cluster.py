@@ -13,7 +13,14 @@ import numpy as np
 from .errors import DimensionMismatch, TooFewPoints, TooManyClusters
 from .rngs import substream
 
-__all__ = ["ClusterAssignment", "KmeansResult", "kmeans", "align_labels", "relabel"]
+__all__ = [
+    "ClusterAssignment",
+    "KmeansResult",
+    "kmeans",
+    "check_alignable",
+    "align_labels",
+    "relabel",
+]
 
 MAX_LLOYD_ITER = 200
 MAX_ALIGN_K = 10
@@ -137,6 +144,12 @@ def kmeans(rows, k, restarts=20, seed=0):
     )
 
 
+def check_alignable(k):
+    """Raise TooManyClusters when align_labels would refuse k classes."""
+    if k > MAX_ALIGN_K:
+        raise TooManyClusters(f"k={k} would need {k}! permutations")
+
+
 def align_labels(est, truth):
     """Label permutation minimizing the Hamming distance to the truth.
 
@@ -149,8 +162,7 @@ def align_labels(est, truth):
     if est.k != truth.k:
         raise DimensionMismatch(f"k mismatch {est.k} vs {truth.k}")
     k = est.k
-    if k > MAX_ALIGN_K:
-        raise TooManyClusters(f"k={k} would need {k}! permutations")
+    check_alignable(k)
     # confusion[s, t] = #items with true label s and estimated label t
     pair_ids = truth.labels * k + est.labels
     confusion = np.bincount(pair_ids, minlength=k * k).reshape(k, k)

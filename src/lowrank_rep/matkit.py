@@ -9,9 +9,11 @@ Layout conventions used by the whole package:
 
 Commutation and duplication matrices are materialized densely and cost
 O(p^2 q^2) memory.  The chart Jacobians (cayley_jacobian, dsigma,
-dsigma_rect) and the spiked Fisher information fold the permutation and
-Kronecker actions in directly, so no hot path forms a p^2 x p^2 matrix;
-the dense matrices here serve as test oracles for those structured paths.
+dsigma_rect) fold the permutation and Kronecker actions in directly, and
+the spiked Fisher information and score are traces of r x r blocks of the
+frame derivative, so they never form DSigma at all.  No hot path forms a
+p^2 x p^2 matrix; the dense matrices here serve as test oracles for those
+structured paths.
 """
 
 from dataclasses import dataclass

@@ -15,7 +15,13 @@ import numpy as np
 import scipy.sparse.linalg
 from scipy.linalg.blas import dsymv
 
-from .cluster import ClusterAssignment, align_labels, kmeans, relabel
+from .cluster import (
+    ClusterAssignment,
+    align_labels,
+    check_alignable,
+    kmeans,
+    relabel,
+)
 from .errors import (
     AsymmetricInput,
     DimensionMismatch,
@@ -395,7 +401,9 @@ class SbmExperimentConfig:
         """The mc.Study of this design: the chart point of Sigma0, J^{1/2}
         as standardizer, and one replicate pipeline per network size.  The
         truth model is built and validated at every size here, so a bad
-        design raises before any replicate runs."""
+        design raises before any replicate runs, as does K above
+        cluster.MAX_ALIGN_K (TooManyClusters)."""
+        check_alignable(self.K)
         sizes = tuple(_study_size(self, n) for n in self.n_values)
         theta0 = theta_of_sigma(self.Sigma0, self.r)
         J_half = sqrt_psd(asymptotic_cov_J(theta0, self.pi))

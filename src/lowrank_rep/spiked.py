@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import logsumexp
 
-from .cayley import _frame_of_rows, cayley_map
+from .cayley import _frame_of_rows, cayley_jacobian, cayley_map
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -33,9 +33,9 @@ from .errors import (
     SingularFisher,
     SupportViolation,
 )
-from .matkit import sin_theta, spectral_norm
+from .matkit import duplication_matrix, kron, sin_theta, spectral_norm
 from .rngs import generator, replicate_seed, substream
-from .symrep import ThetaSym, dsigma, sigma_of_theta
+from .symrep import ThetaSym, sigma_of_theta
 
 # Hard cap on the number of enumerated supports.
 ENUM_MAX = 100_000
@@ -249,26 +249,52 @@ def log_likelihood(omega, omega_hat, n):
     return -(n / 2.0) * (p * math.log(2.0 * math.pi) + logdet) - (n / 2.0) * trace_term
 
 
-def _conjugate_columns(K, D):
-    # Columns of D are vec's of p x p matrices H; returns the stack of
-    # vec(K H K) without forming the p^2 x p^2 Kronecker factor.
-    p = K.shape[0]
-    T = D.reshape(p, p, -1, order="F")
-    KT = np.tensordot(K, T, axes=(1, 0))      # [i, b, k] = (K H_k)[i, b]
-    KTK = np.tensordot(KT, K, axes=(1, 0))    # [i, k, j] = (K H_k K)[i, j]
-    return KTK.transpose(0, 2, 1).reshape(p * p, -1, order="F")
-
-
-def _fisher(D, K):
-    # (1/2) D^T (K kron K) D from DSigma and K = Omega^{-1}, with the PD gate
-    F = 0.5 * D.T @ _conjugate_columns(K, D)
+def _information(theta, omega, omega_hat=None):
+    # Per-sample Fisher (1/2) DSigma^T (K kron K) DSigma and score
+    # DSigma^T vec(K (omega_hat - omega) K) at theta, with K = omega^{-1}
+    # and omega = Sigma(theta) + I, without forming DSigma.  A phi direction
+    # moves Sigma by X_k Y^T + Y X_k^T, with X_k = dU_k and Y = U M, and a mu
+    # direction by U E_m U^T, with E_m = unvech(e_m).  With V = U^T K U,
+    # R_k = U^T K X_k and P_k = M R_k, every entry is a trace of r x r
+    # products:
+    #   F_kl = tr(P_k P_l) + tr(M V M X_k^T K X_l),
+    #   F_km = <R_k M V, E_m>,   F_mn = (1/2) tr(V E_m V E_n),
+    # and the score is 2 <B Y, X_k> for phi and <U^T B U, E_m> for mu, with
+    # B = K (omega_hat - omega) K.  Returns (F, score); score is None when
+    # omega_hat is None.  F must pass the eigvalsh PD gate.
+    p, r = theta.p, theta.r
+    U = cayley_map(theta.phi).matrix
+    M = theta.core
+    K = np.linalg.inv(omega)
+    KU = K @ U
+    V = U.T @ KU
+    dup = duplication_matrix(r)
+    # X[b, i, k] = dU_k[i, b]: column k of DU is vec(dU_k), column-major
+    X = cayley_jacobian(theta.phi).reshape(r, p, -1)
+    n_phi = X.shape[2]
+    R = np.einsum("ia,bik->abk", KU, X)
+    P = np.einsum("ac,cbk->abk", M, R)
+    XG = np.tensordot(M @ V @ M, X, axes=(1, 0))
+    KX = np.matmul(K, X)
+    F_phi = P.reshape(r * r, n_phi).T @ P.transpose(1, 0, 2).reshape(r * r, n_phi)
+    F_phi += XG.reshape(r * p, n_phi).T @ KX.reshape(r * p, n_phi)
+    RMV = np.einsum("ack,cb->bak", R, M @ V).reshape(r * r, n_phi)
+    F_cross = RMV.T @ dup
+    F_mu = 0.5 * dup.T @ kron(V, V) @ dup
+    F = np.block([[F_phi, F_cross], [F_cross.T, F_mu]])
     F = 0.5 * (F + F.T)
     lam_min = float(np.linalg.eigvalsh(F).min())
     if lam_min <= 0.0:
         raise NotPositiveDefinite(
             f"Fisher information smallest eigenvalue {lam_min:.3e} <= 0"
         )
-    return F
+    if omega_hat is None:
+        return F, None
+    DKU = (np.asarray(omega_hat, dtype=float) - omega) @ KU
+    BY = K @ DKU @ M
+    score_phi = 2.0 * BY.T.reshape(r * p) @ X.reshape(r * p, n_phi)
+    score_mu = dup.T @ (KU.T @ DKU).ravel(order="F")
+    return F, np.concatenate([score_phi, score_mu])
 
 
 def fisher_spiked(theta0):
@@ -277,7 +303,7 @@ def fisher_spiked(theta0):
     Positive definite everywhere on the chart domain; a nonpositive
     eigenvalue signals a bug upstream rather than a bad input.
     """
-    return _fisher(dsigma(theta0), np.linalg.inv(omega_of_theta(theta0)))
+    return _information(theta0, omega_of_theta(theta0))[0]
 
 
 # =====================================================================
@@ -285,17 +311,23 @@ def fisher_spiked(theta0):
 # =====================================================================
 
 
+def _log_size_prior(p, r, a_const, n):
+    # Support-size prior n^{-rt} (p-r)^{-at} / z_n for every t = 0..p-r,
+    # with the normalizer summed exactly (finite geometric series).
+    pmr = p - r
+    if pmr == 0:
+        return np.zeros(1)
+    log_q = -r * math.log(n) - a_const * math.log(pmr)
+    t = np.arange(pmr + 1)
+    return t * log_q - float(logsumexp(log_q * t))
+
+
 def _log_pi_p(t, p, r, a_const, n):
-    # Support-size prior n^{-rt} (p-r)^{-at} / z_n with the normalizer
-    # summed exactly over t = 0..p-r (finite geometric series).
+    # log prior of support size t; see _log_size_prior
     pmr = p - r
     if not (0 <= t <= pmr):
         raise ConfigError(f"support size {t} outside 0..{pmr}")
-    if pmr == 0:
-        return 0.0
-    log_q = -r * math.log(n) - a_const * math.log(pmr)
-    log_z = float(logsumexp(log_q * np.arange(pmr + 1)))
-    return t * log_q - log_z
+    return float(_log_size_prior(p, r, a_const, n)[t])
 
 
 def prior_log_density(theta, support, a_const, n):
@@ -428,13 +460,9 @@ def limit_posterior(omega_hat, model, cap, a_const=1.0):
     theta0 = model.theta0
     n = model.n
     v0 = theta0.as_vector()
-    Om0 = model.omega0
-    K0 = np.linalg.inv(Om0)
-    D0 = dsigma(theta0)
-    I_per = _fisher(D0, K0)
-    half_score = 0.5 * n * (
-        D0.T @ (K0 @ (omega_hat - Om0) @ K0).ravel(order="F")
-    )
+    I_per, score = _information(theta0, model.omega0, omega_hat)
+    half_score = 0.5 * n * score
+    log_size_prior = _log_size_prior(model.p, model.r, a_const, n)
 
     supports = _enumerate_supports(model, cap)
     means, covs, log_w = [], [], np.empty(len(supports))
@@ -455,7 +483,7 @@ def limit_posterior(omega_hat, model, cap, a_const=1.0):
         mean = v0[cols] + cov @ half_score[cols]
         gamma_est, _ = gamma_mc(sup.size, model.r)
         log_w[k] = (
-            _log_pi_p(sup.size, model.p, model.r, a_const, n)
+            log_size_prior[sup.size]
             - math.log(math.comb(model.p - model.r, sup.size))
             - math.log(gamma_est)
             + 0.5 * (sup.dim * math.log(2.0 * math.pi) - logdet)
@@ -521,11 +549,8 @@ def lan_remainder(theta, theta0, omega_hat, n):
     diff = log_likelihood(omega_of_theta(theta), omega_hat, n) - log_likelihood(
         Om0, omega_hat, n
     )
-    K0 = np.linalg.inv(Om0)
-    D0 = dsigma(theta0)
-    g = D0.T @ (K0 @ (omega_hat - Om0) @ K0).ravel(order="F")
+    I_per, g = _information(theta0, Om0, omega_hat)
     delta = theta.as_vector() - theta0.as_vector()
-    I_per = _fisher(D0, K0)
     return diff - (n / 2.0) * float(g @ delta) + (n / 2.0) * float(
         delta @ I_per @ delta
     )

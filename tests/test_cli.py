@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lowrank_rep
 from lowrank_rep import cli
@@ -461,3 +463,60 @@ def test_negative_seed_flag_exits_two(tmp_path):
     out = run_cli("check-bounds", "--config", cfg, "--seed", "-1")
     assert out.returncode == 2
     assert "config error" in out.stderr
+
+
+def test_too_many_sbm_classes_exits_two(tmp_path, capsys):
+    # K=11 exceeds exhaustive label alignment; at n=220 every replicate
+    # would otherwise be excluded and the run would still exit 0
+    v = np.linspace(0.2, 0.7, 11)
+    text = (
+        f"K=11\nSigma0={','.join(repr(float(x)) for x in np.outer(v, v).ravel())}\n"
+        "r=1\nn_values=220\nreplicates=3\n"
+    )
+    cfg = write_config(tmp_path / "c.cfg", text)
+    out_csv = tmp_path / "out.csv"
+    assert cli.run(["sbm-sim", "--config", cfg, "--out", str(out_csv)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("p1, p2", [(11, 3), (3, 11)])
+def test_too_many_bicluster_classes_exits_two(p1, p2, tmp_path, capsys):
+    gen = np.random.default_rng(5)
+    Sigma0 = gen.normal(size=(p1, 2)) @ gen.normal(size=(2, p2))
+    text = (
+        f"p1={p1}\np2={p2}\nSigma0={','.join(repr(float(x)) for x in Sigma0.ravel())}\n"
+        "r=2\nsizes=110x110\nreplicates=2\nsigma2=0.25\n"
+    )
+    cfg = write_config(tmp_path / "c.cfg", text)
+    out_csv = tmp_path / "out.csv"
+    assert cli.run(["bicluster-sim", "--config", cfg, "--out", str(out_csv)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+# ---- CSV writer ----
+
+_CELLS = st.one_of(
+    st.text(alphabet="ab;%_-0123456789", max_size=6),
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, -2.5e-310,
+         1e300, -1e-300, np.float64(-0.0), np.float64(1e-300)]
+    ),
+)
+
+
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=6), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_csv_rows_match_per_cell_format(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    cli._write_csv(path, ["h"], rows, ["k=v"])
+    expected = "h\n" + "".join(
+        ",".join(cli._fmt(v) for v in row) + "\n" for row in rows
+    ) + "# k=v\n"
+    assert path.read_bytes() == expected.encode("utf-8")

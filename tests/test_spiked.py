@@ -9,6 +9,7 @@ single entry.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,9 @@ from lowrank_rep.spiked import (
     SpikedModel,
     SupportSet,
     _frame_of_rows,
+    _information,
     _log_pi_p,
+    _log_size_prior,
     fisher_spiked,
     gamma_bounds,
     gamma_mc,
@@ -275,6 +278,55 @@ def test_fisher_matches_direct_kronecker(point):
     assert np.linalg.norm(got - direct) <= 1e-13 * np.linalg.norm(direct)
 
 
+def _dense_score(theta, omega_hat):
+    # D^T vec(K (omega_hat - Omega) K) with the full p^2 x d Jacobian
+    omega = omega_of_theta(theta)
+    K = np.linalg.inv(omega)
+    return dsigma(theta).T @ (K @ (omega_hat - omega) @ K).ravel(order="F")
+
+
+def _random_sample_cov(gen, p):
+    B = gen.normal(size=(p, 2 * p))
+    return B @ B.T / (2 * p) + 0.5 * np.eye(p)
+
+
+@given(chart_points())
+@example(edge_point(2, 1))
+@example(edge_point(4, 3))
+@settings(max_examples=60, deadline=None)
+def test_score_matches_dense_dsigma(point):
+    phi, gen = point
+    theta = ThetaSym(phi, vech(random_core_sym(gen, phi.r, pd=True)))
+    omega_hat = _random_sample_cov(gen, phi.p)
+    _, got = _information(theta, omega_of_theta(theta), omega_hat)
+    direct = _dense_score(theta, omega_hat)
+    assert np.linalg.norm(got - direct) <= 1e-13 * np.linalg.norm(direct)
+
+
+def workload_model(p):
+    # the truth of the spiked-p48 benchmark workload at any p: r=2, n=400,
+    # rows 1 and 4 of A0 active
+    A0 = np.zeros((p - 2, 2))
+    A0[1] = (0.42, -0.21)
+    A0[4] = (0.18, 0.33)
+    theta = ThetaSym(Phi(p, 2, A0.ravel(order="F")), [2.2, 0.4, 1.6])
+    return SpikedModel(theta, 400, (1, 4))
+
+
+def test_fisher_and_score_match_dense_oracle_at_p48():
+    model = workload_model(48)
+    theta, omega = model.theta0, model.omega0
+    _, omega_hat = sample_gaussian(omega, model.n, 0)
+    F, score = _information(theta, omega, omega_hat)
+    D = dsigma(theta)
+    K = np.linalg.inv(omega)
+    direct = 0.5 * D.T @ kron(K, K) @ D
+    assert np.linalg.norm(F - direct) <= 1e-13 * np.linalg.norm(direct)
+    assert np.array_equal(fisher_spiked(theta), F)
+    direct = _dense_score(theta, omega_hat)
+    assert np.linalg.norm(score - direct) <= 1e-13 * np.linalg.norm(direct)
+
+
 def test_fisher_pd_on_random_models():
     gen = rng(41)
     for _ in range(100):
@@ -338,6 +390,15 @@ def test_prior_size_ratio():
     for t in range(p - r):
         diff = _log_pi_p(t + 1, p, r, a_const, n) - _log_pi_p(t, p, r, a_const, n)
         assert abs(diff - (-r * math.log(n) - a_const * math.log(p - r))) < 1e-12
+
+
+def test_size_prior_entries_match_per_size_calls():
+    for p, r, a_const, n in ((2, 2, 1.0, 10), (9, 2, 0.7, 40), (48, 2, 1.0, 400), (30, 3, 2.5, 7)):
+        table = _log_size_prior(p, r, a_const, n)
+        assert table.shape == (p - r + 1,)
+        for t in range(p - r + 1):
+            assert _log_pi_p(t, p, r, a_const, n) == table[t]
+        assert abs(np.logaddexp.reduce(table)) < 1e-12
 
 
 def test_prior_rejects_rows_off_support():
@@ -444,6 +505,22 @@ def test_posterior_weight_concentrates_on_true_support():
     lp = limit_posterior(omega_hat, model, cap=3)
     assert lp.components[0].support.indices == (1, 4)
     assert lp.components[0].weight > 0.99
+
+
+def test_limit_posterior_at_p512_fits_in_memory():
+    # r=2, cap=3, true support of size 2: 510 - 2 + 1 = 509 components.
+    # The p^2 x d DSigma alone would take 2.1 GB here.
+    model = workload_model(512)
+    _, omega_hat = sample_gaussian(model.omega0, model.n, 0)
+    tracemalloc.start()
+    try:
+        lp = limit_posterior(omega_hat, model, cap=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lp.components) == 509
+    assert abs(sum(c.weight for c in lp.components) - 1.0) <= 1e-12
+    assert peak < 300 * 2**20
 
 
 def test_enumeration_guard():

@@ -540,6 +540,19 @@ def _run_bicluster_sim(cfg, seed_override, out_override):
 # =====================================================================
 
 
+def _full_means(components, d):
+    """Each component mean scattered into its support's columns of a length-d
+    row of zeros, as lists of floats: the values of selector @ mean, bit for
+    bit.  The dense product starts every sum from +0.0, so a -0.0 entry of
+    the mean comes out as +0.0; adding 0.0 does the same to the scatter.
+    """
+    rows = np.zeros((len(components), d))
+    which = np.repeat(np.arange(len(components)), [c.support.dim for c in components])
+    cols = np.concatenate([c.support.columns for c in components])
+    rows[which, cols] = np.concatenate([c.mean for c in components]) + 0.0
+    return rows.tolist()
+
+
 def _run_spiked(cfg, seed_override, out_override):
     allowed = {
         "p",
@@ -592,16 +605,15 @@ def _run_spiked(cfg, seed_override, out_override):
     _, omega_hat = spiked.sample_gaussian(model.omega0, n, seed)
     lp = spiked.limit_posterior(omega_hat, model, cap, a_const=a_const)
 
-    d = model.d
     header = ["component", "support", "size", "weight"]
-    header += [f"mean_{j + 1}" for j in range(d)]
+    header += [f"mean_{j + 1}" for j in range(model.d)]
     rows = []
     support0_weight = 0.0
-    for idx, comp in enumerate(lp.components):
-        mean_full = comp.support.selector @ comp.mean
+    full_means = _full_means(lp.components, model.d)
+    for idx, (comp, mean_full) in enumerate(zip(lp.components, full_means)):
         rows.append(
             [idx, ";".join(str(j) for j in comp.support.indices), comp.support.size, comp.weight]
-            + [float(v) for v in mean_full]
+            + mean_full
         )
         if comp.support.indices == model.support0:
             support0_weight = float(comp.weight)

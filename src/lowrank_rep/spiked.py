@@ -66,6 +66,8 @@ class SpikedModel:
     theta0: ThetaSym
     n: int
     support0: tuple = field(default=())
+    # Omega0 = Sigma(theta0) + I, built and PD-checked once per model
+    omega0: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if int(self.n) < 1:
@@ -90,6 +92,10 @@ class SpikedModel:
             raise NotPositiveDefinite(
                 f"core M(mu0) has smallest eigenvalue {core_min:.3e} <= 0"
             )
+        # read-only: every caller shares this one array
+        omega0 = omega_of_theta(self.theta0)
+        omega0.flags.writeable = False
+        object.__setattr__(self, "omega0", omega0)
 
     @property
     def p(self):
@@ -102,10 +108,6 @@ class SpikedModel:
     @property
     def d(self):
         return self.theta0.d
-
-    @property
-    def omega0(self):
-        return omega_of_theta(self.theta0)
 
 
 @dataclass(frozen=True)
@@ -188,16 +190,34 @@ class LimitPosterior:
             raise ConfigError(
                 f"weights must be nonnegative and sum to 1, got sum {w.sum()!r}"
             )
-        for c in self.components:
-            C = c.cov
-            if np.max(np.abs(C - C.T), initial=0.0) > 1e-10:
-                raise NotPositiveDefinite("component covariance not symmetric")
+        # Both checks run stacked over the covariances of one shape; the
+        # first failing component in component order is reported, and an
+        # asymmetric covariance before a non-PD one, as a loop would.  A
+        # covariance that is not a square matrix is not PD.
+        asym = np.zeros(w.size, dtype=bool)
+        not_pd = np.zeros(w.size, dtype=bool)
+        for shape, ks in _groups(np.shape(c.cov) for c in self.components):
+            if len(shape) != 2 or shape[0] != shape[1]:
+                not_pd[ks] = True
+                continue
+            C = np.stack([self.components[k].cov for k in ks])
+            asym[ks] = (
+                np.max(np.abs(C - C.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+                > 1e-10
+            )
             try:
                 np.linalg.cholesky(C)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(
-                    f"component covariance for S={c.support.indices} not PD"
-                ) from exc
+            except np.linalg.LinAlgError:
+                not_pd[ks] = _cholesky_fails(C)
+        bad = np.flatnonzero(asym | not_pd)
+        if bad.size:
+            k = bad[0]
+            if asym[k]:
+                raise NotPositiveDefinite("component covariance not symmetric")
+            raise NotPositiveDefinite(
+                f"component covariance for S={self.components[k].support.indices}"
+                " not PD"
+            )
 
     @property
     def d(self):
@@ -439,6 +459,77 @@ def _enumerate_supports(model, cap):
     return out
 
 
+def _groups(keys):
+    """(key, positions) for each distinct key, in order of first appearance."""
+    out = {}
+    for k, key in enumerate(keys):
+        out.setdefault(key, []).append(k)
+    return [(key, np.array(ks)) for key, ks in out.items()]
+
+
+def _cholesky_fails(stack):
+    # Per matrix of a stack whose stacked Cholesky failed as a whole: does
+    # its own factorization fail.  Only error paths come here.
+    fails = np.zeros(len(stack), dtype=bool)
+    for k, M in enumerate(stack):
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            fails[k] = True
+    return fails
+
+
+def _mixture(model, supports, I_per, half_score, log_size_prior):
+    """Log weights, means and covariances of the components over supports.
+
+    Supports of one size share d_S, so each size group runs as one stacked
+    computation: a fancy index gathers every I_S, and the numpy.linalg
+    gufuncs call the same LAPACK routine per matrix that a per-support loop
+    would, so each result is bit for bit the loop's.  Groups run in
+    ascending size, the enumeration order, so a SingularFisher names the
+    first support whose information is not PD.  Returns (log_w, means,
+    covs) with one entry of means and covs per support.
+    """
+    n, r = model.n, model.r
+    v0 = model.theta0.as_vector()
+    log_2pi = math.log(2.0 * math.pi)
+    log_w = np.empty(len(supports))
+    means, covs = [], []
+    for size, ks in _groups(sup.size for sup in supports):
+        group = [supports[k] for k in ks]
+        dim = group[0].dim
+        # F_S^T I_per F_S for the 0/1 selector F_S is a submatrix
+        cols = np.array([sup.columns for sup in group])
+        I_S = n * I_per[cols[:, :, None], cols[:, None, :]]
+        I_S = 0.5 * (I_S + I_S.swapaxes(1, 2))
+        try:
+            L = np.linalg.cholesky(I_S)
+        except np.linalg.LinAlgError as exc:
+            first = group[int(np.argmax(_cholesky_fails(I_S)))]
+            raise SingularFisher(
+                f"information for S={first.indices} is not PD"
+            ) from exc
+        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        # the right-hand side gets the stack's ndim: numpy < 2 reads a b of
+        # one dimension fewer than a as a stack of vectors
+        cov = np.linalg.solve(I_S, np.eye(dim)[None])
+        cov = 0.5 * (cov + cov.swapaxes(1, 2))
+        mean = v0[cols] + np.matmul(cov, half_score[cols][:, :, None])[:, :, 0]
+        quad = np.matmul(np.matmul(mean[:, None, :], I_S), mean[:, :, None])
+        gamma_est, _ = gamma_mc(size, r)
+        log_prior = (
+            log_size_prior[size]
+            - math.log(math.comb(model.p - r, size))
+            - math.log(gamma_est)
+        )
+        log_w[ks] = (
+            log_prior + 0.5 * (dim * log_2pi - logdet) + 0.5 * quad[:, 0, 0]
+        )
+        means.extend(mean)
+        covs.extend(cov)
+    return log_w, means, covs
+
+
 def limit_posterior(omega_hat, model, cap, a_const=1.0):
     """Limiting posterior over (support, chart coordinates).
 
@@ -457,46 +548,20 @@ def limit_posterior(omega_hat, model, cap, a_const=1.0):
         raise DimensionMismatch(
             f"omega_hat shape {omega_hat.shape} != ({model.p}, {model.p})"
         )
-    theta0 = model.theta0
-    n = model.n
-    v0 = theta0.as_vector()
-    I_per, score = _information(theta0, model.omega0, omega_hat)
-    half_score = 0.5 * n * score
-    log_size_prior = _log_size_prior(model.p, model.r, a_const, n)
-
+    I_per, score = _information(model.theta0, model.omega0, omega_hat)
     supports = _enumerate_supports(model, cap)
-    means, covs, log_w = [], [], np.empty(len(supports))
-    for k, sup in enumerate(supports):
-        # F_S^T I_per F_S for the 0/1 selector F_S is a submatrix
-        cols = sup.columns
-        I_S = n * I_per[np.ix_(cols, cols)]
-        I_S = 0.5 * (I_S + I_S.T)
-        try:
-            L = np.linalg.cholesky(I_S)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFisher(
-                f"information for S={sup.indices} is not PD"
-            ) from exc
-        logdet = 2.0 * float(np.log(np.diag(L)).sum())
-        cov = np.linalg.solve(I_S, np.eye(sup.dim))
-        cov = 0.5 * (cov + cov.T)
-        mean = v0[cols] + cov @ half_score[cols]
-        gamma_est, _ = gamma_mc(sup.size, model.r)
-        log_w[k] = (
-            log_size_prior[sup.size]
-            - math.log(math.comb(model.p - model.r, sup.size))
-            - math.log(gamma_est)
-            + 0.5 * (sup.dim * math.log(2.0 * math.pi) - logdet)
-            + 0.5 * float(mean @ I_S @ mean)
-        )
-        means.append(mean)
-        covs.append(cov)
-
+    log_w, means, covs = _mixture(
+        model,
+        supports,
+        I_per,
+        0.5 * model.n * score,
+        _log_size_prior(model.p, model.r, a_const, model.n),
+    )
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
     components = tuple(
-        PosteriorComponent(sup, float(wk), mean, cov)
-        for sup, wk, mean, cov in zip(supports, w, means, covs)
+        PosteriorComponent(sup, wk, mean, cov)
+        for sup, wk, mean, cov in zip(supports, w.tolist(), means, covs)
     )
     return LimitPosterior(model.p, model.r, components)
 

@@ -2,8 +2,11 @@
 
 Finite differences here are the independent check on every hand-derived
 Jacobian: plain central differences, no reuse of package derivative code.
-The dense Kronecker/Gamma Jacobian is the oracle for the structured one.
+The dense Kronecker/Gamma Jacobian is the oracle for the structured one,
+and a per-support loop the oracle for the stacked limit posterior.
 """
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -97,3 +100,55 @@ def dense_cayley_jacobian(phi):
     p, r = phi.p, phi.r
     S = np.linalg.inv(np.eye(p) - skew_embed(phi))
     return 2.0 * kron(S[:, :r].T, S) @ gamma_matrix(p, r)
+
+
+def loop_limit_posterior(omega_hat, model, cap, a_const=1.0):
+    """Oracle for spiked.limit_posterior: one support at a time, with its own
+    Cholesky, solve, matvecs, gamma_mc call and Python-float log weight."""
+    from lowrank_rep.spiked import (
+        LimitPosterior,
+        PosteriorComponent,
+        _enumerate_supports,
+        _information,
+        _log_size_prior,
+        gamma_mc,
+        omega_of_theta,
+    )
+
+    theta0 = model.theta0
+    n = model.n
+    v0 = theta0.as_vector()
+    I_per, score = _information(theta0, omega_of_theta(theta0), omega_hat)
+    half_score = 0.5 * n * score
+    log_size_prior = _log_size_prior(model.p, model.r, a_const, n)
+    supports = _enumerate_supports(model, cap)
+    means, covs, log_w = [], [], np.empty(len(supports))
+    for k, sup in enumerate(supports):
+        cols = sup.columns
+        I_S = n * I_per[np.ix_(cols, cols)]
+        I_S = 0.5 * (I_S + I_S.T)
+        L = np.linalg.cholesky(I_S)
+        logdet = 2.0 * float(np.log(np.diag(L)).sum())
+        cov = np.linalg.solve(I_S, np.eye(sup.dim))
+        cov = 0.5 * (cov + cov.T)
+        mean = v0[cols] + cov @ half_score[cols]
+        gamma_est, _ = gamma_mc(sup.size, model.r)
+        log_w[k] = (
+            log_size_prior[sup.size]
+            - math.log(math.comb(model.p - model.r, sup.size))
+            - math.log(gamma_est)
+            + 0.5 * (sup.dim * math.log(2.0 * math.pi) - logdet)
+            + 0.5 * float(mean @ I_S @ mean)
+        )
+        means.append(mean)
+        covs.append(cov)
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    return LimitPosterior(
+        model.p,
+        model.r,
+        tuple(
+            PosteriorComponent(sup, float(wk), mean, cov)
+            for sup, wk, mean, cov in zip(supports, w, means, covs)
+        ),
+    )

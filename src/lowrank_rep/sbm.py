@@ -15,13 +15,7 @@ import numpy as np
 import scipy.sparse.linalg
 from scipy.linalg.blas import dsymv
 
-from .cluster import (
-    ClusterAssignment,
-    align_labels,
-    check_alignable,
-    kmeans,
-    relabel,
-)
+from .cluster import ClusterAssignment, align_labels, kmeans, relabel
 from .errors import (
     AsymmetricInput,
     DimensionMismatch,
@@ -30,7 +24,7 @@ from .errors import (
     RankMismatch,
     SingularFisher,
 )
-from .gaussnewton import fit_with_permutation
+from .gaussnewton import first_admissible
 from .mc import Study, StudySize, run_study, sqrt_psd
 from .rngs import generator, substream
 from .symrep import ThetaSym, dsigma, sigma_of_theta, theta_of_sigma
@@ -57,7 +51,7 @@ __all__ = [
 
 # block probabilities entering score/Fisher must stay inside (EPS, 1-EPS)
 PROB_EPS = 1e-6
-# finite-sample block means are clipped into this range before refitting
+# finite-sample block means are clipped into this range before the projection
 CLIP_LO = 1e-4
 FISHER_COND_MAX = 1e12
 # full eigendecomposition below this size; Lanczos above
@@ -250,36 +244,23 @@ def _rank_r_truncation(T, r):
     return (V[:, order] * lam[order]) @ V[:, order].T
 
 
-def _project(Sigma_tilde, r):
-    # (theta, idx): rows and columns are reordered together, then truncated
-    T = np.asarray(Sigma_tilde, dtype=float)
-    K = T.shape[0]
-
-    def start(idx):
-        T_perm = T[np.ix_(idx, idx)]
-        return theta_of_sigma(_rank_r_truncation(T_perm, r), r), T_perm
-
-    return fit_with_permutation(
-        K,
-        start,
-        lambda th: vec(sigma_of_theta(th)),
-        dsigma,
-        lambda v: ThetaSym.from_vector(K, r, v),
-    )
-
-
 def project_to_manifold(Sigma_tilde, r):
     """Least-squares fit of the rank-r representation to a block matrix.
 
-    Initializes from the chart coordinates of the best rank-r approximation;
-    when the leading-block rotation degenerates, simultaneous row/column
-    permutations of Sigma_tilde are tried in lexicographic order until one
-    admits a representer.  If a non-identity permutation is needed, the fit
-    targets that permuted matrix (no unpermuted representer exists in the
-    chart); callers sensitive to ordering should reorder classes first.
-    Refined by damped Gauss-Newton.
+    Returns the chart coordinates of the best rank-r approximation, which is
+    the least-squares fit.  When its leading-block rotation degenerates,
+    simultaneous row/column permutations of Sigma_tilde are tried in
+    lexicographic order (gaussnewton.first_admissible) until one admits a
+    representer.  If a non-identity permutation is needed, the fit targets
+    that permuted matrix (no unpermuted representer exists in the chart);
+    callers sensitive to ordering should reorder classes first.
     """
-    theta, _ = _project(Sigma_tilde, r)
+    T = np.asarray(Sigma_tilde, dtype=float)
+
+    def chart_point(idx):
+        return theta_of_sigma(_rank_r_truncation(T[np.ix_(idx, idx)], r), r)
+
+    theta, _ = first_admissible(T.shape[0], r, chart_point)
     return theta
 
 
@@ -401,9 +382,7 @@ class SbmExperimentConfig:
         """The mc.Study of this design: the chart point of Sigma0, J^{1/2}
         as standardizer, and one replicate pipeline per network size.  The
         truth model is built and validated at every size here, so a bad
-        design raises before any replicate runs, as does K above
-        cluster.MAX_ALIGN_K (TooManyClusters)."""
-        check_alignable(self.K)
+        design raises before any replicate runs."""
         sizes = tuple(_study_size(self, n) for n in self.n_values)
         theta0 = theta_of_sigma(self.Sigma0, self.r)
         J_half = sqrt_psd(asymptotic_cov_J(theta0, self.pi))
@@ -429,8 +408,10 @@ def _study_size(config, n):
         counts = block_counts(A, relabel(tau_hat, perm))
         Sigma_naive = block_mean_estimator(counts)
         row["mse_naive"] = mse(Sigma_naive)
-        theta_tilde, idx = _project(clip_probabilities(Sigma_naive), config.r)
-        return idx, lambda: one_step(theta_tilde, counts)
+        # identity-order chart point of the truncation; a missing one is a
+        # NumericsError, which excludes the replicate
+        trunc = _rank_r_truncation(clip_probabilities(Sigma_naive), config.r)
+        return one_step(theta_of_sigma(trunc, config.r), counts)
 
     return StudySize({"n": n}, n, mse, sample, replicate)
 

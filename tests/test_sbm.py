@@ -603,7 +603,8 @@ def test_experiment_full_rank_mse_equivalence():
 
 def test_experiment_excludes_permuted_projection(monkeypatch):
     # a rank-2 block matrix in (0,1) whose range holds e_3, so its basis has
-    # a singular top block and the fit has to reorder the classes
+    # a singular top block: no chart point in the true class order, only
+    # after a reordering, and every replicate is excluded
     naive = np.array([[0.4, 0.2, 0.3], [0.2, 0.1, 0.15], [0.3, 0.15, 0.5]])
     with pytest.raises(DegenerateTopBlock):
         theta_of_sigma(naive, 2)

@@ -234,7 +234,8 @@ def asymptotic_cov_G(theta, w, pi, sigma2, Pi1=None, Pi2=None):
     pi = np.asarray(pi, dtype=float)
     q1 = w if Pi1 is None else w[np.asarray(Pi1, dtype=np.int64)]
     q2 = pi if Pi2 is None else pi[np.asarray(Pi2, dtype=np.int64)]
-    profile = sigma2 / np.outer(q1, q2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile = sigma2 / np.outer(q1, q2)
     if not np.all(np.isfinite(profile)):
         raise NotPositiveDefinite(
             f"noise profile sigma2 / (w_s pi_t) overflows at sigma2 = {sigma2:.3g}"
@@ -246,7 +247,8 @@ def asymptotic_cov_G(theta, w, pi, sigma2, Pi1=None, Pi2=None):
         raise SingularGram(
             f"Gram condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds 1e12"
         )
-    inner = D.T @ (vec(profile)[:, None] * D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = D.T @ (vec(profile)[:, None] * D)
     G = np.linalg.solve(H, np.linalg.solve(H, inner).T)
     if not np.all(np.isfinite(G)):
         raise NotPositiveDefinite(f"covariance G overflows at sigma2 = {sigma2:.3g}")

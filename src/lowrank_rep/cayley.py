@@ -10,6 +10,12 @@ where X is the skew-symmetric embedding of A (block [[0, -A^T], [A, 0]]).
 The chart is a bijection onto O_plus as long as ||A||_2 < 1, and I - X is
 nonsingular for every A, with condition number at most sqrt(2).
 
+No p x p matrix is formed: with G = (I_r + A^T A)^{-1}, the inverse of the
+r x r Schur complement of I - X (the low-rank Cayley form of Wen & Yin 2013),
+    Z = (I - X)^{-1} I_{p x r} = [G; A G],   U = 2 Z - I_{p x r},
+    (I - X)^{-1} [0; I_{p-r}] = [0; I_{p-r}] - Z A^T,
+so the frame costs O(p r^2) and its Jacobian O(p^2 r^2), its own size.
+
 All certificate constants here and downstream are explicit and hold
 non-asymptotically; a Certificate records the observed quantity next to its
 bound so callers can audit slack.
@@ -47,7 +53,7 @@ __all__ = [
 DOMAIN_MARGIN = 1e-12
 # Top block counts as positive definite when lambda_min(sym part) > this.
 TOP_BLOCK_TOL = 1e-14
-# Relative residual accepted from the (I - X) linear solves.
+# Relative residual accepted from the (I - X) solve, on the chart ball.
 SOLVE_RTOL = 1e-10
 # Relative magnitude threshold defining the numerical rank of an input.
 RANK_RTOL = 1e-9
@@ -194,41 +200,36 @@ def _top_block_frame(mags, V, r):
     return rotate(Vr), rotate
 
 
-def _skew_of_rows(A):
-    # [[0, -A^T], [A, 0]] for a (p - r) x r block A
-    pmr, r = A.shape
-    X = np.zeros((pmr + r, pmr + r))
-    X[r:, :r] = A
-    X[:r, r:] = -A.T
+def skew_embed(phi):
+    """Skew-symmetric p x p matrix [[0, -A^T], [A, 0]] from chart coordinates."""
+    X = np.zeros((phi.p, phi.p))
+    X[phi.r :, : phi.r] = phi.A
+    X[: phi.r, phi.r :] = -phi.A.T
     return X
 
 
-def skew_embed(phi):
-    """Skew-symmetric p x p matrix [[0, -A^T], [A, 0]] from chart coordinates."""
-    return _skew_of_rows(phi.A)
-
-
-def _solve_against(X, B):
-    # (I - X) Z = B with an explicit residual check; I - X is I plus skew,
-    # hence nonsingular, but the check documents the accuracy contract.
-    M = np.eye(X.shape[0]) - X
-    Z = np.linalg.solve(M, B)
-    resid = np.linalg.norm(M @ Z - B)
-    if resid > SOLVE_RTOL * max(np.linalg.norm(B), 1e-300):
+def _frame_factor(A):
+    # Z = C G with C = [I; A], G = (C^T C)^{-1}.  R = I - C^T Z is the residual
+    # of (I - X) Z = I_{p x r} without A^T A rounded, so the correction Z R
+    # holds Z to roundoff also where ||A||_2 >> 1.  R itself rounds at
+    # eps ||A||^2: the tolerance grows by max(1, ||A||_F^2 / r), 1 on the ball.
+    r = A.shape[1]
+    eye = np.eye(r)
+    C = np.concatenate((eye, A))
+    Z = C @ np.linalg.solve(C.T @ C, eye)
+    R = eye - C.T @ Z
+    resid, tol = np.vdot(R, R) ** 0.5, SOLVE_RTOL * r**0.5
+    if resid > tol and resid > tol * max(1.0, np.vdot(A, A) / r):
         raise InaccurateSolve(
-            f"(I - X) solve: residual {resid:.3e} exceeds "
-            f"{SOLVE_RTOL:.0e} * ||B|| = {SOLVE_RTOL * np.linalg.norm(B):.3e}"
+            f"(I - X) solve: residual {resid:.3e} > {tol:.3e} max(1, ||A||_F^2 / r)"
         )
-    return Z
+    return Z + Z @ R
 
 
 def _frame_of_rows(A):
-    # (I + X)(I - X)^{-1} I_{p x r} for any real (p - r) x r block A.  I - X
-    # is nonsingular for every skew X, so this also holds outside the chart
-    # ball; callers that need a chart point validate the domain themselves.
-    X = _skew_of_rows(A)
-    Z = _solve_against(X, np.eye(X.shape[0])[:, : A.shape[1]])
-    return Z + X @ Z
+    # U = (I + X) Z = 2 Z - I_{p x r} for any real (p - r) x r block A, also
+    # outside the chart ball; callers that need a chart point check the domain
+    return 2.0 * _frame_factor(A) - np.eye(sum(A.shape), A.shape[1])
 
 
 def cayley_map(phi):
@@ -276,13 +277,14 @@ def cayley_jacobian(phi):
     dX = e_{r+a} e_b^T - e_b e_{r+a}^T touches two entries.  With
     S = (I - X)^{-1} and Z = S I_{p x r} the column is vec(2 S dX Z), the
     vec of 2 (S[:, r+a] Z[b, :] - S[:, b] Z[r+a, :]) read as outer
-    products.  Neither the Kronecker factor nor Gamma is formed.
+    products.  Only the trailing columns [0; I] - Z A^T of S are formed,
+    and neither the Kronecker factor nor Gamma.
     """
-    p, r = phi.p, phi.r
-    S = _solve_against(skew_embed(phi), np.eye(p))
-    Z = S[:, :r]
+    p, r, A = phi.p, phi.r, phi.A
+    Z = _frame_factor(A)
+    S_tail = np.eye(p, p - r, -r) - Z @ A.T
     # T[i, j, a, b] is entry (i, j) of the column for direction (a, b)
-    T = np.einsum("ia,bj->ijab", S[:, r:], Z[:r])
+    T = np.einsum("ia,bj->ijab", S_tail, Z[:r])
     T -= np.einsum("ib,aj->ijab", Z, Z[r:])
     return 2.0 * T.reshape(p * r, (p - r) * r, order="F")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricInput, DimensionMismatch, NotOrthonormal
+from .errors import AsymmetricInput, DimensionMismatch, NotOrthonormal, SingularGram
 
 __all__ = [
     "vec",
@@ -206,3 +206,13 @@ def spectral_norm(M):
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
+
+
+def _inv_gram_norm(D):
+    gram = D.T @ D
+    s = np.linalg.svd(gram, compute_uv=False)
+    if s[-1] <= 1e-12 * s[0]:
+        raise SingularGram(
+            f"gram numerically rank deficient: sigma = {s[-1]:.3e} vs {s[0]:.3e}"
+        )
+    return float(np.linalg.norm(np.linalg.inv(gram), 2))

@@ -19,7 +19,7 @@ from .cayley import (
     cayley_map,
 )
 from .errors import DimensionMismatch, SingularGram
-from .matkit import kron, spectral_norm, unvec, vec
+from .matkit import _inv_gram_norm, kron, spectral_norm, unvec, vec
 
 __all__ = [
     "ThetaRect",
@@ -162,12 +162,7 @@ def regularity_bound_rect(theta0):
         )
     else:
         bound = 1.0 + (1.0 + 8.0 * s1**2) * (1.0 + a0**2) ** 2 / (4.0 * sr**2)
-    D = dsigma_rect(theta0)
-    gram = D.T @ D
-    s = np.linalg.svd(gram, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise SingularGram(f"gram numerically singular: {s[-1]:.3e}")
-    observed = float(np.linalg.norm(np.linalg.inv(gram), 2))
+    observed = _inv_gram_norm(dsigma_rect(theta0))
     cert = Certificate(
         label="rect_inv_gram_norm_upper", observed=observed, bound=bound
     )

@@ -28,9 +28,9 @@ from .errors import (
     AsymmetricInput,
     DimensionMismatch,
     NotPositiveDefinite,
-    SingularGram,
 )
 from .matkit import (
+    _inv_gram_norm,
     duplication_matrix,
     kron,
     sin_theta,
@@ -269,16 +269,6 @@ class RegularityReport:
     inv_gram_cert: Certificate
 
 
-def _inv_gram_norm(D, d):
-    gram = D.T @ D
-    s = np.linalg.svd(gram, compute_uv=False)
-    if s.size < d or s[-1] <= 1e-12 * s[0]:
-        raise SingularGram(
-            f"gram numerically rank deficient: sigma = {s[-1]:.3e} vs {s[0]:.3e}"
-        )
-    return float(np.linalg.norm(np.linalg.inv(gram), 2))
-
-
 def regularity_bounds(theta0):
     """Lower bound on sigma_min(D_phi Sigma) and upper bound on
     ||(DSigma^T DSigma)^{-1}||_2 at a chart point with nonsingular core.
@@ -309,7 +299,7 @@ def regularity_bounds(theta0):
         sigma_min_bound = 2.0 * np.sqrt(2.0) * sr / (1.0 + a0**2)
         inv_bound = 1.0 + (1.0 + 64.0 * s1**2) * (1.0 + a0**2) ** 2 / (8.0 * sr**2)
 
-    inv_observed = _inv_gram_norm(D, theta0.d)
+    inv_observed = _inv_gram_norm(D)
     sigma_min_cert = Certificate(
         label="dsigma_phi_sigma_min_lower",
         observed=sigma_min_bound,  # lower bound: pass iff bound <= observed

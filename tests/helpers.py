@@ -2,8 +2,9 @@
 
 Finite differences here are the independent check on every hand-derived
 Jacobian: plain central differences, no reuse of package derivative code.
-The dense Kronecker/Gamma Jacobian is the oracle for the structured one,
-and a per-support loop the oracle for the stacked limit posterior.
+The dense (I - X) solve is the oracle for the closed-form frame, the dense
+Kronecker/Gamma Jacobian the oracle for the structured one, and a
+per-support loop the oracle for the stacked limit posterior.
 """
 
 import math
@@ -93,6 +94,18 @@ def _scaled_point(p, r, norm, seed):
     A = gen.normal(size=(p - r, r))
     A *= norm / np.linalg.norm(A, 2)
     return Phi(p, r, A.reshape(-1, order="F")), gen
+
+
+def dense_cayley_frame(phi, scale):
+    """(I + X)(I - X)^{-1} I_{p x r} with X = scale * skew_embed(phi), dense.
+
+    Scaling X entrywise rounds exactly like embedding scale * phi.A, so
+    scale > 1 reaches blocks outside the chart ball, which Phi rejects.
+    """
+    X = scale * skew_embed(phi)
+    eye = np.eye(phi.p)
+    Z = np.linalg.solve(eye - X, eye[:, : phi.r])
+    return Z + X @ Z
 
 
 def dense_cayley_jacobian(phi):

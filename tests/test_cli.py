@@ -485,6 +485,9 @@ def _bad_cases():
     ]
 
 
+# a numpy warning ahead of the config error (e.g. sigma2 = 1e307 overflowing
+# the noise profile) fails the case
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind, overrides", _bad_cases())
 def test_bad_value_exits_two_before_the_run(kind, overrides, tmp_path, capsys):
     text = "".join(f"{k}={v}\n" for k, v in {**BAD_BASES[kind], **overrides}.items())

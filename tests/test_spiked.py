@@ -65,6 +65,7 @@ from lowrank_rep.symrep import ThetaSym, dsigma, sigma_of_theta
 
 from helpers import (
     chart_points,
+    dense_cayley_frame,
     dense_cayley_jacobian,
     edge_point,
     fd_jacobian,
@@ -794,12 +795,25 @@ def test_tail_fraction_in_unit_interval_and_monotone_in_radius():
     assert 0.0 <= large <= small <= 1.0
 
 
-def test_tail_frame_valid_outside_chart_ball():
-    # Gaussian tails can leave ||A||_2 < 1; the frame map still returns
-    # an orthonormal matrix there
-    A = np.array([[1.4, 0.2], [-0.3, 0.9], [0.5, 0.1]])
-    U = _frame_of_rows(A)
-    assert np.max(np.abs(U.T @ U - np.eye(2))) < 1e-12
+_TAIL_BLOCK = np.array([[1.4, 0.2], [-0.3, 0.9], [0.5, 0.1]])
+
+
+@given(chart_points(), st.one_of(st.just(1.0), st.floats(1.0, 1e3)))
+@example(edge_point(2, 1), 1.0)
+@example(edge_point(4, 3), 1.0)
+@example(edge_point(3, 2), 1e3)
+@example(edge_point(12, 3), 1e3)
+@example((Phi(5, 2, (_TAIL_BLOCK / 2.0).ravel(order="F")), None), 2.0)
+@settings(max_examples=200, deadline=None)
+def test_tail_frame_valid_outside_chart_ball(point, scale):
+    # Gaussian tail draws can leave ||A||_2 < 1 (here up to 1e3); there the
+    # frame that sin_theta_tail uses still matches the dense
+    # (I + X)(I - X)^{-1} I_{p x r} and stays orthonormal
+    phi, _ = point
+    U = _frame_of_rows(scale * phi.A)
+    dense = dense_cayley_frame(phi, scale)
+    assert np.linalg.norm(U - dense) <= 1e-13 * np.linalg.norm(dense)
+    assert np.max(np.abs(U.T @ U - np.eye(phi.r))) <= 1e-12
 
 
 def test_tail_study_decreases_with_sample_size():

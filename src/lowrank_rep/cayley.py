@@ -209,27 +209,41 @@ def skew_embed(phi):
 
 
 def _frame_factor(A):
-    # Z = C G with C = [I; A], G = (C^T C)^{-1}.  R = I - C^T Z is the residual
-    # of (I - X) Z = I_{p x r} without A^T A rounded, so the correction Z R
+    # Z = C G with C = [I; A], G = (C^T C)^{-1}, for one (p - r) x r block or
+    # a stack of them over leading axes; matmul and solve treat each block
+    # as a 2-D call would.  R = I - C^T Z is the residual of
+    # (I - X) Z = I_{p x r} without A^T A rounded, so the correction Z R
     # holds Z to roundoff also where ||A||_2 >> 1.  R itself rounds at
-    # eps ||A||^2: the tolerance grows by max(1, ||A||_F^2 / r), 1 on the ball.
-    r = A.shape[1]
-    eye = np.eye(r)
-    C = np.concatenate((eye, A))
-    Z = C @ np.linalg.solve(C.T @ C, eye)
-    R = eye - C.T @ Z
-    resid, tol = np.vdot(R, R) ** 0.5, SOLVE_RTOL * r**0.5
-    if resid > tol and resid > tol * max(1.0, np.vdot(A, A) / r):
-        raise InaccurateSolve(
-            f"(I - X) solve: residual {resid:.3e} > {tol:.3e} max(1, ||A||_F^2 / r)"
-        )
+    # eps ||A||^2: the tolerance grows by max(1, ||A||_F^2 / r), 1 on the
+    # ball, and each block is held to its own.
+    r = A.shape[-1]
+    # size-1 leading axes: solve reads eye as matrices, also on numpy 1.x
+    eye = np.eye(r)[(None,) * (A.ndim - 2)]
+    C = np.empty(A.shape[:-2] + (r + A.shape[-2], r))
+    C[..., :r, :] = eye
+    C[..., r:, :] = A
+    Ct = C.swapaxes(-1, -2)
+    Z = C @ np.linalg.solve(Ct @ C, eye)
+    R = eye - Ct @ Z
+    tol = SOLVE_RTOL * r**0.5
+    # the norm of the whole stack bounds each block's; only past tol are
+    # the blocks measured one by one
+    if np.vdot(R, R) ** 0.5 > tol:
+        resid = np.sqrt((R * R).sum((-2, -1)))
+        bad = resid > tol * np.maximum(1.0, (A * A).sum((-2, -1)) / r)
+        if bad.any():
+            raise InaccurateSolve(
+                f"(I - X) solve: residual {resid[bad].flat[0]:.3e} > {tol:.3e} "
+                "max(1, ||A||_F^2 / r)"
+            )
     return Z + Z @ R
 
 
 def _frame_of_rows(A):
-    # U = (I + X) Z = 2 Z - I_{p x r} for any real (p - r) x r block A, also
-    # outside the chart ball; callers that need a chart point check the domain
-    return 2.0 * _frame_factor(A) - np.eye(sum(A.shape), A.shape[1])
+    # U = (I + X) Z = 2 Z - I_{p x r} for any real (p - r) x r block A, or a
+    # stack of blocks, also outside the chart ball; callers that need a
+    # chart point check the domain
+    return 2.0 * _frame_factor(A) - np.eye(A.shape[-2] + A.shape[-1], A.shape[-1])
 
 
 def cayley_map(phi):

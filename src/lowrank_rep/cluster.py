@@ -1,5 +1,9 @@
 """Clustering utilities: Lloyd's k-means with restarts, label alignment.
 
+k-means runs its restarts stacked in one k-means++ and one Lloyd pass; each
+restart keeps its own random stream and gets the labels, centroids and
+objective it would get alone.
+
 Labels are integers in range(k).  Alignment between an estimated and a true
 assignment solves the linear assignment problem on their k x k confusion
 matrix exactly (Jonker-Volgenant shortest augmenting paths), polynomial in
@@ -65,56 +69,107 @@ class KmeansResult:
     objective: float = 0.0
 
 
-def _sq_dists(rows, centroids):
-    # ||x - c||^2 for all pairs, n x k
-    return (
-        np.sum(rows**2, axis=1)[:, None]
-        - 2.0 * rows @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
+def _sq_dists(rows, row_sq, centers):
+    # ||x - c||^2 for every row and every centre of each restart, (T, n, k),
+    # summed as ||x||^2 - 2 x.c + ||c||^2; row_sq holds ||x||^2 repeated
+    # over the k columns, so its sum runs over whole contiguous slices.
+    # matmul makes one BLAS product per restart, the call a 2-D product
+    # makes, so each slice has the bits of a restart run alone.
+    d2 = -2.0 * rows @ centers.transpose(0, 2, 1)
+    d2 += row_sq
+    d2 += np.sum(centers**2, axis=2)[:, None, :]
+    return d2
 
 
-def _kmeanspp_init(rows, k, gen):
+def _kmeanspp_init(rows, k, gens):
+    # Step j picks centre j of every restart at once; restart t draws only
+    # from gens[t].  A pick is Generator.choice(n, p=d2 / total) written
+    # out: the same uniform, the same cdf, and its searchsorted-right index
+    # as the count of cdf <= u.
     n = rows.shape[0]
-    centers = np.empty((k, rows.shape[1]))
-    idx = int(gen.integers(n))
-    centers[0] = rows[idx]
-    d2 = np.sum((rows - centers[0]) ** 2, axis=1)
+    centers = np.empty((len(gens), k, rows.shape[1]))
+    centers[:, 0] = rows[[gen.integers(n) for gen in gens]]
+    d2 = np.sum((rows - centers[:, :1]) ** 2, axis=2)
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(gen.integers(n))  # all points coincide with a center
-        else:
-            idx = int(gen.choice(n, p=d2 / total))
-        centers[j] = rows[idx]
-        d2 = np.minimum(d2, np.sum((rows - centers[j]) ** 2, axis=1))
+        total = d2.sum(axis=1)
+        flat = total <= 0.0  # all points coincide with a centre
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        u = [0.0 if f else gen.random() for gen, f in zip(gens, flat)]
+        idx = np.count_nonzero(cdf <= np.array(u)[:, None], axis=1)
+        for t in np.flatnonzero(flat):
+            idx[t] = gens[t].integers(n)
+        centers[:, j] = rows[idx]
+        d2 = np.minimum(d2, np.sum((rows - centers[:, j, None]) ** 2, axis=2))
     return centers
 
 
+def _repair_empty(rows, d2, labels, centers):
+    # one restart's (n, k) slices, edited in place: reseed each empty
+    # cluster at the worst-fit point
+    n, k = d2.shape
+    for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
+        worst = int(np.argmax(d2[np.arange(n), labels]))
+        centers[j] = rows[worst]
+        labels[worst] = j
+        d2[:, j] = np.sum((rows - centers[j]) ** 2, axis=1)
+
+
+def _centroids(rows, labels, centers):
+    # Cluster means of each restart, bit-equal to members.mean(axis=0); an
+    # empty cluster keeps its centre.  mean adds a block of >= 2 columns row
+    # by row, which np.bincount does in row order.  A single column it sums
+    # pairwise, which np.add.reduceat does over each cluster's run of
+    # members behind a 0.0.
+    T = labels.shape[0]
+    k, d = centers.shape[1:]
+    ids = (np.arange(T)[:, None] * k + labels).ravel()
+    counts = np.bincount(ids, minlength=T * k)
+    filled = counts > 0
+    sums = np.zeros((T * k, d))
+    if d == 1:
+        members = np.tile(rows[:, 0], T)[np.argsort(ids, kind="stable")]
+        starts = (np.cumsum(counts) - counts)[filled]
+        padded = np.insert(members, starts, 0.0)
+        sums[filled, 0] = np.add.reduceat(padded, starts + np.arange(starts.size))
+    else:
+        for c in range(d):
+            weights = np.tile(rows[:, c], T)
+            sums[:, c] = np.bincount(ids, weights=weights, minlength=T * k)
+    out = centers.reshape(T * k, d).copy()
+    out[filled] = sums[filled] / counts[filled, None]
+    return out.reshape(T, k, d)
+
+
 def _lloyd(rows, k, centers):
-    n = rows.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
+    # Lloyd iterations of all restarts in one stack, centers (T, k, d) in
+    # place.  Each restart takes the steps it would take alone and leaves
+    # the active set once its labels stop changing.
+    T, n = centers.shape[0], rows.shape[0]
+    row_sq = np.repeat(np.sum(rows**2, axis=1)[:, None], k, axis=1)
+    labels = np.full((T, n), -1, dtype=np.int64)
+    active = np.arange(T)
     for _ in range(MAX_LLOYD_ITER):
-        d2 = _sq_dists(rows, centers)
-        new_labels = np.argmin(d2, axis=1)
-        # empty-cluster repair: reseed at the worst-fit point
-        counts = np.bincount(new_labels, minlength=k)
-        for j in np.flatnonzero(counts == 0):
-            worst = int(np.argmax(d2[np.arange(n), new_labels]))
-            centers[j] = rows[worst]
-            new_labels[worst] = j
-            d2[:, j] = np.sum((rows - centers[j]) ** 2, axis=1)
-            counts = np.bincount(new_labels, minlength=k)
-        if np.array_equal(new_labels, labels):
+        live = centers[active]
+        d2 = _sq_dists(rows, row_sq, live)
+        new_labels = np.argmin(d2, axis=2)
+        counts = np.bincount(
+            (np.arange(active.size)[:, None] * k + new_labels).ravel(),
+            minlength=active.size * k,
+        )
+        for a in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
+            _repair_empty(rows, d2[a], new_labels[a], live[a])
+        centers[active] = live
+        moved = np.any(new_labels != labels[active], axis=1)
+        active = active[moved]
+        if active.size == 0:
             break
-        labels = new_labels
-        for j in range(k):
-            members = rows[labels == j]
-            if members.size:
-                centers[j] = members.mean(axis=0)
-    d2 = _sq_dists(rows, centers)
-    obj = float(np.sum(d2[np.arange(n), labels]))
-    return labels, centers, obj
+        labels[active] = new_labels[moved]
+        centers[active] = _centroids(rows, labels[active], live[moved])
+    d2 = _sq_dists(rows, row_sq, centers)
+    obj = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    return labels, obj
 
 
 def kmeans(rows, k, restarts=20, seed=0):
@@ -132,18 +187,17 @@ def kmeans(rows, k, restarts=20, seed=0):
         raise DimensionMismatch(f"need k >= 1, got {k}")
     if n < k:
         raise TooFewPoints(f"{n} rows for k={k} clusters")
-    best = None
-    for t in range(restarts):
-        gen = substream(seed, 3, t)
-        centers = _kmeanspp_init(rows, k, gen)
-        labels, centers, obj = _lloyd(rows, k, centers.copy())
-        if best is None or obj < best[2]:
-            best = (labels, centers, obj)
-    labels, centers, obj = best
+    if not np.isfinite(rows).all():
+        # k-means++ weights would be NaN (Generator.choice refused them)
+        raise ValueError("k-means rows must be finite")
+    gens = [substream(seed, 3, t) for t in range(restarts)]
+    centers = _kmeanspp_init(rows, k, gens)
+    labels, obj = _lloyd(rows, k, centers)
+    best = int(np.argmin(obj))
     return KmeansResult(
-        assignment=ClusterAssignment(labels, k),
-        centroids=centers,
-        objective=obj,
+        assignment=ClusterAssignment(labels[best], k),
+        centroids=centers[best],
+        objective=float(obj[best]),
     )
 
 

@@ -159,14 +159,16 @@ class SinThetaResult:
     dist_frobenius: float
 
 
-def _check_frame(U, name):
+def _check_frame(U, name, stacked=False):
+    # one tall frame, or with stacked=True a stack of them over axis 0
     U = np.asarray(U, dtype=float)
-    if U.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a matrix")
-    if U.shape[0] < U.shape[1]:
+    if U.ndim != 2 + stacked:
+        kind = "a stack of matrices" if stacked else "a matrix"
+        raise DimensionMismatch(f"{name} must be {kind}")
+    if U.shape[-2] < U.shape[-1]:
         raise DimensionMismatch(f"{name} must be tall, got {U.shape}")
-    G = U.T @ U
-    dev = np.max(np.abs(G - np.eye(U.shape[1])), initial=0.0)
+    G = U.swapaxes(-1, -2) @ U
+    dev = np.max(np.abs(G - np.eye(U.shape[-1])), initial=0.0)
     if dev > ORTHONORMAL_TOL:
         raise NotOrthonormal(
             f"{name}: ||U^T U - I||_max = {dev:.3e} > {ORTHONORMAL_TOL:.1e}"
@@ -198,6 +200,23 @@ def sin_theta(U, V):
         dist_spectral=float(sines.max(initial=0.0)),
         dist_frobenius=float(np.sqrt(np.sum(sines**2))),
     )
+
+
+def _sin_theta_spectral(Us, V):
+    """dist_spectral of sin_theta(U, V) for every frame U of the stack Us.
+
+    One stacked pass with the products and SVD that sin_theta runs per
+    frame, so each distance has its bits.
+    """
+    Us = _check_frame(Us, "U", stacked=True)
+    V = _check_frame(V, "V")
+    if Us.shape[1:] != V.shape:
+        raise DimensionMismatch(f"shape mismatch {Us.shape[1:]} vs {V.shape}")
+    C = Us.swapaxes(1, 2) @ V
+    sines = np.clip(np.linalg.svd(V - Us @ C, compute_uv=False), 0.0, 1.0)
+    dist = sines.max(axis=1, initial=0.0)
+    dist[np.all(Us == V, axis=(1, 2))] = 0.0
+    return dist
 
 
 def spectral_norm(M):

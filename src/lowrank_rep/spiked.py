@@ -33,7 +33,7 @@ from .errors import (
     SingularFisher,
     SupportViolation,
 )
-from .matkit import duplication_matrix, kron, sin_theta, spectral_norm
+from .matkit import _sin_theta_spectral, duplication_matrix, kron, spectral_norm
 from .rngs import generator, replicate_seed, substream
 from .symrep import ThetaSym, sigma_of_theta
 
@@ -636,13 +636,10 @@ def sin_theta_tail(draws, U0, m_const, s, p, n):
         raise ConfigError("tail fraction needs at least one draw")
     n_phi = (p - r) * r
     threshold = m_const * math.sqrt(s * math.log(p) / n)
-    exceed = 0
-    for row in draws:
-        A = row[:n_phi].reshape((p - r, r), order="F")
-        dist = sin_theta(_frame_of_rows(A), U0).dist_spectral
-        if dist > threshold:
-            exceed += 1
-    return exceed / draws.shape[0]
+    # the F-order (p - r) x r block of every draw, mapped in one stacked pass
+    A = draws[:, :n_phi].reshape((-1, r, p - r)).transpose(0, 2, 1)
+    dist = _sin_theta_spectral(_frame_of_rows(A), U0)
+    return np.count_nonzero(dist > threshold) / draws.shape[0]
 
 
 def lan_remainder_study(theta0, n_values, replicates, base_seed):

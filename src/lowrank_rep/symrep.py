@@ -28,6 +28,7 @@ from .errors import (
     AsymmetricInput,
     DimensionMismatch,
     NotPositiveDefinite,
+    SingularGram,
 )
 from .matkit import (
     _inv_gram_norm,
@@ -281,7 +282,9 @@ def regularity_bounds(theta0):
         raise DimensionMismatch("regularity bounds need r < p (phi nonempty)")
     sv_M = np.linalg.svd(theta0.core, compute_uv=False)
     if sv_M[-1] <= 1e-12 * max(sv_M[0], 1.0):
-        raise NotPositiveDefinite(f"core numerically singular: {sv_M[-1]:.3e}")
+        # a singular core makes DSigma^T DSigma singular; the core need not
+        # be PD, so this is the rank test of regularity_bound_rect
+        raise SingularGram(f"core numerically singular: {sv_M[-1]:.3e}")
     sr, s1 = float(sv_M[-1]), float(sv_M[0])
     a0 = spectral_norm(theta0.phi.A)
 

@@ -3,8 +3,9 @@
 Finite differences here are the independent check on every hand-derived
 Jacobian: plain central differences, no reuse of package derivative code.
 The dense (I - X) solve is the oracle for the closed-form frame, the dense
-Kronecker/Gamma Jacobian the oracle for the structured one, and a
-per-support loop the oracle for the stacked limit posterior.
+Kronecker/Gamma Jacobian the oracle for the structured one, a per-support
+loop the oracle for the stacked limit posterior, and a per-restart loop the
+oracle for the stacked k-means.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from lowrank_rep import Phi, ThetaRect, ThetaSym, gamma_matrix, kron, skew_embed, vech
-from lowrank_rep.rngs import generator
+from lowrank_rep.rngs import generator, substream
 
 # Largest ||A||_2 drawn by the chart property tests: far inside the 1e-12
 # domain margin, close enough to 1 to exercise the chart boundary.
@@ -165,3 +166,72 @@ def loop_limit_posterior(omega_hat, model, cap, a_const=1.0):
             for sup, wk, mean, cov in zip(supports, w, means, covs)
         ),
     )
+
+
+def _loop_sq_dists(rows, centroids):
+    # ||x - c||^2 for all pairs, n x k
+    return (
+        np.sum(rows**2, axis=1)[:, None]
+        - 2.0 * rows @ centroids.T
+        + np.sum(centroids**2, axis=1)[None, :]
+    )
+
+
+def _loop_kmeanspp_init(rows, k, gen):
+    n = rows.shape[0]
+    centers = np.empty((k, rows.shape[1]))
+    idx = int(gen.integers(n))
+    centers[0] = rows[idx]
+    d2 = np.sum((rows - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(gen.integers(n))  # all points coincide with a center
+        else:
+            idx = int(gen.choice(n, p=d2 / total))
+        centers[j] = rows[idx]
+        d2 = np.minimum(d2, np.sum((rows - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def _loop_lloyd(rows, k, centers, max_iter=200):
+    n = rows.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = _loop_sq_dists(rows, centers)
+        new_labels = np.argmin(d2, axis=1)
+        # empty-cluster repair: reseed at the worst-fit point
+        counts = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            worst = int(np.argmax(d2[np.arange(n), new_labels]))
+            centers[j] = rows[worst]
+            new_labels[worst] = j
+            d2[:, j] = np.sum((rows - centers[j]) ** 2, axis=1)
+            counts = np.bincount(new_labels, minlength=k)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            members = rows[labels == j]
+            if members.size:
+                centers[j] = members.mean(axis=0)
+    d2 = _loop_sq_dists(rows, centers)
+    obj = float(np.sum(d2[np.arange(n), labels]))
+    return labels, centers, obj
+
+
+def loop_kmeans(rows, k, restarts=20, seed=0):
+    """Oracle for cluster.kmeans: one restart at a time, each seeded by
+    Generator.choice and run through its own Lloyd loop; the first restart
+    with the smallest objective wins.  Returns (labels, centroids, objective)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    best = None
+    for t in range(restarts):
+        gen = substream(seed, 3, t)
+        centers = _loop_kmeanspp_init(rows, k, gen)
+        labels, centers, obj = _loop_lloyd(rows, k, centers.copy())
+        if best is None or obj < best[2]:
+            best = (labels, centers, obj)
+    return best

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowrank_rep import (
     Phi,
@@ -17,6 +18,7 @@ from lowrank_rep import (
     taylor_certificate_U,
     vec,
 )
+from lowrank_rep.cayley import _frame_of_rows
 from lowrank_rep.cli import run as cli_run
 from lowrank_rep.errors import (
     DimensionMismatch,
@@ -149,6 +151,12 @@ def test_solve_residual_failure_is_typed(monkeypatch):
         cayley_jacobian(Phi(4, 2, [0.1, 0.2, -0.1, 0.3]))
 
 
+def test_stacked_solve_residual_failure_is_typed(monkeypatch):
+    _inaccurate_solve(monkeypatch)
+    with pytest.raises(InaccurateSolve, match=r"\(I - X\) solve: residual"):
+        _frame_of_rows(np.full((5, 3, 2), 0.1))
+
+
 def test_solve_residual_failure_exits_three(monkeypatch, tmp_path, capsys):
     config = tmp_path / "battery.cfg"
     config.write_text("p=4\nr=2\ndraws=1\nseed=1\n", encoding="utf-8")
@@ -158,6 +166,27 @@ def test_solve_residual_failure_exits_three(monkeypatch, tmp_path, capsys):
     )
     assert code == 3
     assert "numerical failure: (I - X) solve: residual" in capsys.readouterr().err
+
+
+@given(
+    chart_points(),
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+    st.booleans(),
+)
+@example(edge_point(2, 1), [1.0], False)
+@example(edge_point(12, 3), [1e-3, 1.0, 1e3], True)
+@settings(max_examples=100, deadline=None)
+def test_frame_of_a_stack_is_each_block_alone(point, scales, two_axes):
+    # a stack over leading axes maps each block with the bits of a 2-D
+    # call, on the chart ball and far outside it
+    phi, _ = point
+    blocks = np.stack([s * phi.A for s in scales])
+    if two_axes:
+        blocks = np.stack([blocks, -blocks])
+    frames = _frame_of_rows(blocks)
+    assert frames.shape == blocks.shape[:-2] + (phi.p, phi.r)
+    for idx in np.ndindex(blocks.shape[:-2]):
+        assert np.array_equal(frames[idx], _frame_of_rows(blocks[idx]))
 
 
 # ------------------------------------------------------------------ inverse

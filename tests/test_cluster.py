@@ -2,12 +2,16 @@
 
 Alignment answers are cross-checked by brute force over all k! label
 permutations (k <= 6), so the constructed instances double as oracles.
+The stacked k-means is checked bit for bit against the per-restart loop of
+helpers.py (Generator.choice seeding, one Lloyd loop per restart).
 """
 
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowrank_rep.cluster import (
     ClusterAssignment,
@@ -17,7 +21,7 @@ from lowrank_rep.cluster import (
 )
 from lowrank_rep.errors import DimensionMismatch, TooFewPoints
 
-from helpers import rng
+from helpers import loop_kmeans, rng
 
 
 def brute_hamming(est, truth):
@@ -108,9 +112,69 @@ def test_kmeans_objective_invariant_under_row_permutation():
     assert abs(a.objective - b.objective) <= 1e-9 * (1.0 + a.objective)
 
 
+@st.composite
+def kmeans_inputs(draw):
+    """(rows, k, restarts, seed): n <= 400 rows of 1-4 columns, k in
+    1..min(6, n), 1-25 restarts.  Rows are Gaussian, rounded to a coarse
+    grid (distance ties), or copies of a few points; with fewer distinct
+    points than k, k-means++ meets total d^2 = 0 and Lloyd empty clusters."""
+    n = draw(st.integers(1, 400))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(6, n)))
+    restarts = draw(st.integers(1, 25))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = rng(seed)
+    rows = gen.normal(size=(n, d))
+    style = draw(st.sampled_from(["gaussian", "rounded", "copies"]))
+    if style == "rounded":
+        rows = np.round(rows, draw(st.integers(0, 1)))
+    elif style == "copies":
+        distinct = draw(st.integers(1, min(k + 1, n)))
+        rows = np.round(rows[gen.integers(0, distinct, size=n)], 1)
+    return rows, k, restarts, int(gen.integers(2**31))
+
+
+def assert_matches_loop_oracle(rows, k, restarts, seed):
+    res = kmeans(rows, k, restarts=restarts, seed=seed)
+    labels, centroids, objective = loop_kmeans(rows, k, restarts, seed)
+    assert np.array_equal(res.assignment.labels, labels)
+    assert np.array_equal(res.centroids, centroids)
+    assert res.objective == objective
+
+
+@given(kmeans_inputs())
+# three equal points: every k-means++ pick after the first has total d^2 = 0,
+# and Lloyd reseeds two empty clusters
+@example((np.zeros((3, 2)), 3, 4, 0))
+@example((np.zeros((5, 1)), 3, 2, 1))
+# k = n, and a single column with ties at cluster midpoints
+@example((np.arange(6.0)[:, None], 6, 25, 2))
+@example((np.repeat([0.1, 0.2, 0.3], [10, 1, 10])[:, None], 2, 25, 3))
+@settings(max_examples=120, deadline=None)
+def test_kmeans_matches_loop_oracle(case):
+    assert_matches_loop_oracle(*case)
+
+
+@pytest.mark.parametrize("d, k", [(1, 2), (2, 3), (3, 3)])
+def test_kmeans_matches_loop_oracle_at_study_size(d, k):
+    # the shape of the studies' spectral embeddings: n = 1200, 20 restarts
+    gen = rng(20 + d)
+    means = gen.normal(size=(k, d)) * 0.05
+    rows = means[gen.integers(0, k, size=1200)] + gen.normal(size=(1200, d)) * 0.02
+    assert_matches_loop_oracle(rows, k, 20, 7)
+
+
 def test_kmeans_too_few_points():
     with pytest.raises(TooFewPoints):
         kmeans(np.zeros((2, 2)), 3, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_rejects_nonfinite_rows(bad):
+    rows = rng(21).normal(size=(20, 2))
+    rows[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kmeans(rows, 2, restarts=3, seed=0)
 
 
 # ---- alignment ----

@@ -18,6 +18,7 @@ from lowrank_rep import (
     vech,
 )
 from lowrank_rep.errors import AsymmetricInput, DimensionMismatch, NotOrthonormal
+from lowrank_rep.matkit import _sin_theta_spectral
 
 from helpers import rng
 
@@ -244,6 +245,29 @@ def test_sin_theta_rejects_nonorthonormal():
 def test_sin_theta_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         sin_theta(np.eye(4)[:, :2], np.eye(3)[:, :2])
+
+
+def test_sin_theta_spectral_is_sin_theta_per_frame():
+    gen = rng(8)
+    V, _ = np.linalg.qr(gen.normal(size=(7, 3)))
+    Us = np.stack([np.linalg.qr(gen.normal(size=(7, 3)))[0] for _ in range(30)])
+    Us[3] = V  # equal frames take sin_theta's exact-zero shortcut
+    dists = _sin_theta_spectral(Us, V)
+    assert dists[3] == 0.0
+    for U, dist in zip(Us, dists):
+        assert dist == sin_theta(U, V).dist_spectral
+
+
+def test_sin_theta_spectral_validates_every_frame():
+    V = np.eye(4)[:, :2]
+    Us = np.stack([V, V])
+    Us[1, 0, 0] = 2.0
+    with pytest.raises(NotOrthonormal):
+        _sin_theta_spectral(Us, V)
+    with pytest.raises(DimensionMismatch):
+        _sin_theta_spectral(V, V)
+    with pytest.raises(DimensionMismatch):
+        _sin_theta_spectral(np.stack([np.eye(3)[:, :2]]), V)
 
 
 def test_spectral_norm_empty():

@@ -20,7 +20,7 @@ from lowrank_rep import (
     theta_of_sigma_rect,
     unvec,
 )
-from lowrank_rep.errors import RankMismatch
+from lowrank_rep.errors import RankMismatch, SingularGram
 
 from helpers import (
     chart_points,
@@ -200,6 +200,14 @@ def test_regularity_rect_random():
         theta0 = random_theta_rect(gen, p1, p2, r)
         rep = regularity_bound_rect(theta0)
         assert rep.cert.passed, f"failed at ({p1}, {p2}, {r}): {rep.cert}"
+
+
+def test_regularity_rect_rejects_singular_core():
+    # the same error type as symrep.regularity_bounds for the same rank test
+    M = np.outer([1.0, 2.0, -1.0], [1.0, 0.5])
+    theta0 = ThetaRect(3, random_phi(rng(62), 5, 2), M.reshape(-1, order="F"))
+    with pytest.raises(SingularGram, match="core rank deficient"):
+        regularity_bound_rect(theta0)
 
 
 def test_regularity_rect_near_boundary():

@@ -795,6 +795,26 @@ def test_tail_fraction_in_unit_interval_and_monotone_in_radius():
     assert 0.0 <= large <= small <= 1.0
 
 
+def test_tail_matches_per_draw_loop():
+    # oracle: map and measure one draw at a time, as 2-D calls; the draws
+    # include Gaussian blocks far outside the chart ball
+    model = SpikedModel(canonical_theta(), 200, (1, 4))
+    _, omega_hat = sample_gaussian(model.omega0, 200, 11)
+    lp = limit_posterior(omega_hat, model, cap=2)
+    draws = sample_limit_posterior(lp, 300, 17)
+    gen = rng(18)
+    scales = gen.uniform(0.5, 50.0, size=(30, 1))
+    draws[::10, :12] = gen.normal(size=(30, 12)) * scales
+    draws[5] = model.theta0.as_vector()
+    U0 = cayley_map(model.theta0.phi).matrix
+    blocks = [row[:12].reshape((6, 2), order="F") for row in draws]
+    dists = [sin_theta(_frame_of_rows(A), U0).dist_spectral for A in blocks]
+    for m_const in (0.0, 0.3, 1.2, 40.0):
+        threshold = m_const * np.sqrt(2 * np.log(8) / 200)
+        expected = sum(d > threshold for d in dists) / len(dists)
+        assert sin_theta_tail(draws, U0, m_const, 2, 8, 200) == expected
+
+
 _TAIL_BLOCK = np.array([[1.4, 0.2], [-0.3, 0.9], [0.5, 0.1]])
 
 

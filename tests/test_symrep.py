@@ -26,6 +26,7 @@ from lowrank_rep.errors import (
     DegenerateTopBlock,
     NotPositiveDefinite,
     RankMismatch,
+    SingularGram,
 )
 
 from helpers import (
@@ -327,6 +328,7 @@ def test_regularity_random_models():
 
 
 def test_regularity_rejects_singular_core():
+    # the same error type as regularity_bound_rect for the same rank test
     theta0 = ThetaSym(random_phi(rng(48), 5, 2), vech(np.diag([1.0, 0.0])))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(SingularGram, match="core numerically singular"):
         regularity_bounds(theta0)

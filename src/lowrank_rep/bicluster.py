@@ -140,13 +140,17 @@ def sample_data(model, seed, noise="gaussian"):
     if s == 0.0:
         return mean
     if noise == "gaussian":
-        E = gen.normal(0.0, s, size=shape)
+        # normal(0, s) is 0 + s z: scaling the standard draws in place gives
+        # the same values without a second m x n array
+        E = gen.standard_normal(shape)
+        E *= s
     elif noise == "uniform":
         half = np.sqrt(3.0) * s
         E = gen.uniform(-half, half, size=shape)
     else:
         E = s * (2.0 * (gen.random(shape) < 0.5) - 1.0)
-    return mean + E
+    E += mean
+    return E
 
 
 # =====================================================================

@@ -294,13 +294,25 @@ def cayley_jacobian(phi):
     products.  Only the trailing columns [0; I] - Z A^T of S are formed,
     and neither the Kronecker factor nor Gamma.
     """
-    p, r, A = phi.p, phi.r, phi.A
-    Z = _frame_factor(A)
-    S_tail = np.eye(p, p - r, -r) - Z @ A.T
+    A = phi.A
+    return _jacobian_columns(A, _frame_factor(A), slice(None))
+
+
+def _jacobian_columns(A, Z, rows):
+    # The columns of DU for the directions dA = e_a e_b^T with a in rows (an
+    # index or slice into the rows of A), ordered a + b len(rows) as in
+    # cayley_jacobian; Z = _frame_factor(A).  For an exactly zero row a the
+    # column is 2 e_{r+a} Z[b, :], since Z[r+a] = A[a] G vanishes.
+    p, r = Z.shape
+    a = np.arange(p - r)[rows]
+    # the columns r + a of S = (I - X)^{-1}: e_{r+a} - Z A[a]^T
+    S_tail = np.zeros((p, a.size))
+    S_tail[r + a, np.arange(a.size)] = 1.0
+    S_tail -= Z @ A[rows].T
     # T[i, j, a, b] is entry (i, j) of the column for direction (a, b)
     T = np.einsum("ia,bj->ijab", S_tail, Z[:r])
-    T -= np.einsum("ib,aj->ijab", Z, Z[r:])
-    return 2.0 * T.reshape(p * r, (p - r) * r, order="F")
+    T -= np.einsum("ib,aj->ijab", Z, Z[r:][rows])
+    return 2.0 * T.reshape(p * r, -1, order="F")
 
 
 def taylor_certificate_U(phi, phi0):

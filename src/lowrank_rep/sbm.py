@@ -133,29 +133,39 @@ def balanced_assignment(n, pi):
 # =====================================================================
 
 
+def _word_thresholds(P):
+    # t with w < t exactly when (w >> 11) 2^-53 < P, for every 64-bit word w
+    # and 0 < P < 1: P 2^53 and its ceiling are exact, and t < 2^64
+    return np.ceil(np.asarray(P) * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
 def sample_adjacency(model, seed):
     """Symmetric 0/1 adjacency (int8) with zero diagonal, Bernoulli edges.
 
     Stream contract: the seed's generator yields n^2 uniforms u in
     row-major order, and edge {i, j} with i < j is present when
     u[i, j] < Sigma0[tau_i, tau_j]; the diagonal and the lower triangle of
-    the stream are drawn but unused.  The uniforms are drawn in row blocks
-    of about 2^17 values, so no n x n float array is formed; the only
-    n x n arrays are bool (one byte per entry).
+    the stream are drawn but unused.  Generator.random is (w >> 11) 2^-53
+    for the raw 64-bit word w, so for 0 < P < 1 the test u < P is
+    w < ceil(P 2^53) 2^11, read from one K x n table of integer
+    thresholds.  The raw words are drawn in row blocks of about 2^17
+    values, so no n x n word array is formed; the only n x n arrays are
+    bool (one byte per entry), and only the strict upper triangle is
+    written before the transpose fills the lower one.
     """
     tau = model.tau0.labels
     n = tau.size
-    gen = generator(seed)
-    up = np.empty((n, n), dtype=bool)
+    bits = generator(seed).bit_generator
+    table = _word_thresholds(model.Sigma0)[:, tau]
+    A = np.zeros((n, n), dtype=bool)
     step = max(1, 2**17 // max(n, 1))
+    # the strict upper triangle of one diagonal block
+    upper = np.triu(np.ones((min(step, n),) * 2, dtype=bool), 1)
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
-        u = gen.random((i1 - i0, n))
-        # columns j < i0 lie below the diagonal and are zeroed by triu
-        np.less(
-            u[:, i0:], model.Sigma0[tau[i0:i1]][:, tau[i0:]], out=up[i0:i1, i0:]
-        )
-    A = np.triu(up, 1)
+        w = bits.random_raw((i1 - i0, n))
+        np.less(w[:, i0:], table[tau[i0:i1], i0:], out=A[i0:i1, i0:])
+        A[i0:i1, i0:i1] &= upper[: i1 - i0, : i1 - i0]
     A |= A.T
     return A.view(np.int8)
 

@@ -18,12 +18,12 @@ log space and normalized after a max shift.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .cayley import _frame_of_rows, cayley_jacobian, cayley_map
+from .cayley import _frame_factor, _frame_of_rows, _jacobian_columns, cayley_map
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -229,15 +229,22 @@ class LimitPosterior:
 # =====================================================================
 
 
+def _omega_min_eig(theta):
+    # smallest eigenvalue of Sigma(theta) + I from the r x r core: U has
+    # orthonormal columns, so the spectrum is 1 + lambda(M), and also 1 when
+    # r < p
+    lam_min = 1.0 + float(np.linalg.eigvalsh(theta.core)[0])
+    return lam_min if theta.r == theta.p else min(lam_min, 1.0)
+
+
 def omega_of_theta(theta):
     """Covariance Sigma(theta) + I, verified positive definite."""
-    Om = sigma_of_theta(theta) + np.eye(theta.p)
-    lam_min = float(np.linalg.eigvalsh(Om).min())
+    lam_min = _omega_min_eig(theta)
     if lam_min <= 0.0:
         raise NotPositiveDefinite(
             f"Sigma(theta) + I has smallest eigenvalue {lam_min:.3e} <= 0"
         )
-    return Om
+    return sigma_of_theta(theta) + np.eye(theta.p)
 
 
 def sample_gaussian(omega, n, seed):
@@ -269,6 +276,13 @@ def log_likelihood(omega, omega_hat, n):
     return -(n / 2.0) * (p * math.log(2.0 * math.pi) + logdet) - (n / 2.0) * trace_term
 
 
+def _active_rows(A):
+    # Rows of A that are not exactly zero.  Each other row moves the frame
+    # in one row only, so its coordinates form their own block of the
+    # Fisher information, the same block for every such row.
+    return tuple(np.flatnonzero(np.any(A != 0.0, axis=1)).tolist())
+
+
 def _information(theta, omega, omega_hat=None):
     # Per-sample Fisher (1/2) DSigma^T (K kron K) DSigma and score
     # DSigma^T vec(K (omega_hat - omega) K) at theta, with K = omega^{-1}
@@ -279,51 +293,87 @@ def _information(theta, omega, omega_hat=None):
     # products:
     #   F_kl = tr(P_k P_l) + tr(M V M X_k^T K X_l),
     #   F_km = <R_k M V, E_m>,   F_mn = (1/2) tr(V E_m V E_n),
-    # and the score is 2 <B Y, X_k> for phi and <U^T B U, E_m> for mu, with
-    # B = K (omega_hat - omega) K.  Returns (F, score); score is None when
-    # omega_hat is None.  F must pass the eigvalsh PD gate.
+    # and the score is 2 <C Y, X_k> for phi and <U^T C U, E_m> for mu, with
+    # C = K (omega_hat - omega) K.  K enters only through Woodbury,
+    # K = I - U W U^T with W = M (I + M)^{-1}, so V = (I + M)^{-1} and
+    # K U = U V.
+    #
+    # For an exactly zero row a of A, dU_k = 2 e_{r+a} G[b, :] with
+    # G = (I + A^T A)^{-1}, and U[r+a] = 0, so K e_{r+a} = e_{r+a} and
+    # R_k = 0: the row's r coordinates couple to nothing else, and every
+    # zero row carries the same block B = 4 G M V M G and the score
+    # 4 (C U M)[r+a] G.  The dense Fisher is therefore blockdiag(F_J, I kron
+    # B) up to the order of coordinates, where J holds the phi coordinates
+    # of the active rows (column-major, as SupportSet.columns) and then mu.
+    # With a fixed number of active rows this costs O(p r^2), plus O(p^2 r)
+    # for the score.  Returns (F_J, B, score); score is None when omega_hat
+    # is None.  F_J, and B when some row is zero, must pass the eigvalsh PD
+    # gate.
     p, r = theta.p, theta.r
-    U = cayley_map(theta.phi).matrix
+    A = theta.phi.A
+    Z = _frame_factor(A)
+    U = 2.0 * Z - np.eye(p, r)
+    G = Z[:r]
     M = theta.core
-    K = np.linalg.inv(omega)
-    KU = K @ U
-    V = U.T @ KU
+    V = np.linalg.inv(np.eye(r) + M)
+    W = M @ V
+    MVM = W @ M
+    KU = U @ V
+    active = list(_active_rows(A))
     dup = duplication_matrix(r)
-    # X[b, i, k] = dU_k[i, b]: column k of DU is vec(dU_k), column-major
-    X = cayley_jacobian(theta.phi).reshape(r, p, -1)
-    n_phi = X.shape[2]
+    # X[b, i, k] = dU_k[i, b] for the columns k of the active rows
+    X = _jacobian_columns(A, Z, active).reshape(r, p, -1)
+    n_J = X.shape[2]
     R = np.einsum("ia,bik->abk", KU, X)
     P = np.einsum("ac,cbk->abk", M, R)
-    XG = np.tensordot(M @ V @ M, X, axes=(1, 0))
-    KX = np.matmul(K, X)
-    F_phi = P.reshape(r * r, n_phi).T @ P.transpose(1, 0, 2).reshape(r * r, n_phi)
-    F_phi += XG.reshape(r * p, n_phi).T @ KX.reshape(r * p, n_phi)
-    RMV = np.einsum("ack,cb->bak", R, M @ V).reshape(r * r, n_phi)
+    XG = np.tensordot(MVM, X, axes=(1, 0))
+    KX = X - np.matmul(U, np.matmul(W, np.matmul(U.T, X)))
+    F_phi = P.reshape(r * r, n_J).T @ P.transpose(1, 0, 2).reshape(r * r, n_J)
+    F_phi += XG.reshape(r * p, n_J).T @ KX.reshape(r * p, n_J)
+    RMV = np.einsum("ack,cb->bak", R, M @ V).reshape(r * r, n_J)
     F_cross = RMV.T @ dup
     F_mu = 0.5 * dup.T @ kron(V, V) @ dup
-    F = np.block([[F_phi, F_cross], [F_cross.T, F_mu]])
-    F = 0.5 * (F + F.T)
-    lam_min = float(np.linalg.eigvalsh(F).min())
+    F_J = np.block([[F_phi, F_cross], [F_cross.T, F_mu]])
+    F_J = 0.5 * (F_J + F_J.T)
+    B = 4.0 * G @ MVM @ G.T
+    B = 0.5 * (B + B.T)
+    gated = [F_J] if len(active) == p - r else [F_J, B]
+    lam_min = min(float(np.linalg.eigvalsh(F).min()) for F in gated)
     if lam_min <= 0.0:
         raise NotPositiveDefinite(
             f"Fisher information smallest eigenvalue {lam_min:.3e} <= 0"
         )
     if omega_hat is None:
-        return F, None
-    DKU = (np.asarray(omega_hat, dtype=float) - omega) @ KU
-    BY = K @ DKU @ M
-    score_phi = 2.0 * BY.T.reshape(r * p) @ X.reshape(r * p, n_phi)
+        return F_J, B, None
+    # (omega_hat - omega) K U as a difference of products: no p x p
+    # temporary, and exactly zero at omega_hat = omega
+    DKU = np.asarray(omega_hat, dtype=float) @ KU - omega @ KU
+    CY = (DKU - U @ (W @ (U.T @ DKU))) @ M
+    score_A = 4.0 * CY[r:] @ G.T
+    score_J = 2.0 * CY.T.reshape(r * p) @ X.reshape(r * p, n_J)
+    score_A[active] = score_J.reshape(r, -1).T
     score_mu = dup.T @ (KU.T @ DKU).ravel(order="F")
-    return F, np.concatenate([score_phi, score_mu])
+    return F_J, B, np.concatenate([score_A.ravel(order="F"), score_mu])
 
 
 def fisher_spiked(theta0):
     """Per-sample Fisher information (1/2) DSigma^T (Om^{-1} x Om^{-1}) DSigma.
 
     Positive definite everywhere on the chart domain; a nonpositive
-    eigenvalue signals a bug upstream rather than a bad input.
+    eigenvalue signals a bug upstream rather than a bad input.  Assembled
+    from its blocks: F_J for the active rows of A and mu, and the r x r
+    block B at every exactly zero row.
     """
-    return _information(theta0, omega_of_theta(theta0))[0]
+    p, r = theta0.p, theta0.r
+    F_J, B, _ = _information(theta0, omega_of_theta(theta0))
+    active = _active_rows(theta0.phi.A)
+    F = np.zeros((theta0.d, theta0.d))
+    cols = SupportSet(p, r, active).columns
+    F[np.ix_(cols, cols)] = F_J
+    zero = np.setdiff1d(np.arange(p - r), active)
+    zc = zero[:, None] + (p - r) * np.arange(r)
+    F[zc[:, :, None], zc[:, None, :]] = B
+    return F
 
 
 # =====================================================================
@@ -479,52 +529,91 @@ def _cholesky_fails(stack):
     return fails
 
 
-def _mixture(model, supports, I_per, half_score, log_size_prior):
+def _mixture(model, supports, F_J, B, half_score, log_size_prior):
     """Log weights, means and covariances of the components over supports.
 
-    Supports of one size share d_S, so each size group runs as one stacked
-    computation: a fancy index gathers every I_S, and the numpy.linalg
-    gufuncs call the same LAPACK routine per matrix that a per-support loop
-    would, so each result is bit for bit the loop's.  Groups run in
-    ascending size, the enumeration order, so a SingularFisher names the
-    first support whose information is not PD.  Returns (log_w, means,
-    covs) with one entry of means and covs per support.
+    Every support holds the active rows of A0 (the rows that are not exactly
+    zero, all inside support0) and the core; each of its other rows is
+    exactly zero.  So I_S is blockdiag(n F_J, I kron n B) up to the order of
+    its coordinates, and every component shares (n F_J)^{-1} and
+    (n B)^{-1}: a zero row's mean is (n B)^{-1} h_a for its slice h_a of
+    the half score, and logdet I_S = logdet(n F_J) + z logdet(n B) with z
+    the number of zero rows in S.  Each support size runs as one vectorized
+    pass that scatters the two blocks into the coordinate order of its
+    supports.  A SingularFisher names the first support, in enumeration
+    order, whose information is not PD.  Returns (log_w, means, covs) with
+    one entry of means and covs per support.
     """
     n, r = model.n, model.r
-    v0 = model.theta0.as_vector()
+    pmr = model.p - r
+    n_mu = r * (r + 1) // 2
+    active = _active_rows(model.theta0.phi.A)
+    cols = SupportSet(model.p, r, active).columns
+    info_J, info_B = n * F_J, n * B
     log_2pi = math.log(2.0 * math.pi)
+    try:
+        L_J = np.linalg.cholesky(info_J)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFisher(
+            f"information for S={supports[0].indices} is not PD"
+        ) from exc
+    cov_J = np.linalg.solve(info_J, np.eye(len(cols)))
+    cov_J = 0.5 * (cov_J + cov_J.T)
+    mean_J = model.theta0.as_vector()[cols] + cov_J @ half_score[cols]
+    quad_J = float(mean_J @ info_J @ mean_J)
+    logdet_J = 2.0 * float(np.log(np.diag(L_J)).sum())
+    first_zero = next((s for s in supports if s.size > len(active)), None)
+    if first_zero is not None:
+        try:
+            L_B = np.linalg.cholesky(info_B)
+        except np.linalg.LinAlgError as exc:
+            raise SingularFisher(
+                f"information for S={first_zero.indices} is not PD"
+            ) from exc
+        logdet_B = 2.0 * float(np.log(np.diag(L_B)).sum())
+        cov_B = np.linalg.solve(info_B, np.eye(r))
+        cov_B = 0.5 * (cov_B + cov_B.T)
+        # row a of mean_rows is the mean of zero row a; A0 is zero there
+        mean_rows = half_score[: pmr * r].reshape(r, pmr).T @ cov_B
+        quad_rows = np.einsum("ai,ij,aj->a", mean_rows, info_B, mean_rows)
+    row_active = np.zeros(pmr, dtype=bool)
+    row_active[list(active)] = True
     log_w = np.empty(len(supports))
     means, covs = [], []
     for size, ks in _groups(sup.size for sup in supports):
-        group = [supports[k] for k in ks]
-        dim = group[0].dim
-        # F_S^T I_per F_S for the 0/1 selector F_S is a submatrix
-        cols = np.array([sup.columns for sup in group])
-        I_S = n * I_per[cols[:, :, None], cols[:, None, :]]
-        I_S = 0.5 * (I_S + I_S.swapaxes(1, 2))
-        try:
-            L = np.linalg.cholesky(I_S)
-        except np.linalg.LinAlgError as exc:
-            first = group[int(np.argmax(_cholesky_fails(I_S)))]
-            raise SingularFisher(
-                f"information for S={first.indices} is not PD"
-            ) from exc
-        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-        # the right-hand side gets the stack's ndim: numpy < 2 reads a b of
-        # one dimension fewer than a as a stack of vectors
-        cov = np.linalg.solve(I_S, np.eye(dim)[None])
-        cov = 0.5 * (cov + cov.swapaxes(1, 2))
-        mean = v0[cols] + np.matmul(cov, half_score[cols][:, :, None])[:, :, 0]
-        quad = np.matmul(np.matmul(mean[:, None, :], I_S), mean[:, :, None])
+        g, z, dim = ks.size, size - len(active), supports[ks[0]].dim
+        idx = np.array([supports[k].indices for k in ks], dtype=np.intp)
+        is_active = row_active[idx]
+        # positions inside S: row at place t, column b sits at t + b size
+        t_J = np.nonzero(is_active)[1].reshape(g, 1, -1)
+        pos_J = np.concatenate(
+            [
+                (t_J + size * np.arange(r)[:, None]).reshape(g, -1),
+                np.broadcast_to(size * r + np.arange(n_mu), (g, n_mu)),
+            ],
+            axis=1,
+        )
+        pos_Z = np.nonzero(~is_active)[1].reshape(g, z, 1) + size * np.arange(r)
+        rows_Z = idx[~is_active].reshape(g, z)
+        at = np.arange(g)[:, None, None]
+        cov = np.zeros((g, dim, dim))
+        mean = np.empty((g, dim))
+        cov[at, pos_J[:, :, None], pos_J[:, None, :]] = cov_J
+        mean[at[:, :, 0], pos_J] = mean_J
+        quad = np.full(g, quad_J)
+        logdet = logdet_J
+        if z:
+            cov[at[..., None], pos_Z[..., None], pos_Z[:, :, None, :]] = cov_B
+            mean[at, pos_Z] = mean_rows[rows_Z]
+            quad += quad_rows[rows_Z].sum(axis=1)
+            logdet += z * logdet_B
         gamma_est, _ = gamma_mc(size, r)
         log_prior = (
             log_size_prior[size]
-            - math.log(math.comb(model.p - r, size))
+            - math.log(math.comb(pmr, size))
             - math.log(gamma_est)
         )
-        log_w[ks] = (
-            log_prior + 0.5 * (dim * log_2pi - logdet) + 0.5 * quad[:, 0, 0]
-        )
+        log_w[ks] = log_prior + 0.5 * (dim * log_2pi - logdet) + 0.5 * quad
         means.extend(mean)
         covs.extend(cov)
     return log_w, means, covs
@@ -548,12 +637,13 @@ def limit_posterior(omega_hat, model, cap, a_const=1.0):
         raise DimensionMismatch(
             f"omega_hat shape {omega_hat.shape} != ({model.p}, {model.p})"
         )
-    I_per, score = _information(model.theta0, model.omega0, omega_hat)
+    F_J, B, score = _information(model.theta0, model.omega0, omega_hat)
     supports = _enumerate_supports(model, cap)
     log_w, means, covs = _mixture(
         model,
         supports,
-        I_per,
+        F_J,
+        B,
         0.5 * model.n * score,
         _log_size_prior(model.p, model.r, a_const, model.n),
     )
@@ -583,13 +673,25 @@ def sample_limit_posterior(lp, draws, seed):
     if draws == 0:
         return out
     which = gen.choice(len(lp.components), size=draws, p=weights)
-    for k, comp in enumerate(lp.components):
-        rows = np.flatnonzero(which == k)
+    # A run of consecutive components of one dimension draws in one pass:
+    # its draws, sorted by component, read the same stream positions as one
+    # standard_normal call per component.  Each component's covariance is
+    # factored in its own coordinate order.
+    start = 0
+    for dim, run in groupby(c.mean.size for c in lp.components):
+        stop = start + sum(1 for _ in run)
+        rows = np.flatnonzero((which >= start) & (which < stop))
+        start = stop
         if rows.size == 0:
             continue
-        L = np.linalg.cholesky(comp.cov)
-        z = gen.standard_normal((rows.size, comp.mean.size))
-        out[np.ix_(rows, comp.support.columns)] = comp.mean[None, :] + z @ L.T
+        rows = rows[np.argsort(which[rows], kind="stable")]
+        used, k = np.unique(which[rows], return_inverse=True)
+        comps = [lp.components[j] for j in used]
+        L = np.linalg.cholesky(np.stack([c.cov for c in comps]))
+        z = gen.standard_normal((rows.size, dim))
+        mean = np.stack([c.mean for c in comps])
+        cols = np.array([c.support.columns for c in comps])
+        out[rows[:, None], cols[k]] = mean[k] + np.einsum("nij,nj->ni", L[k], z)
     return out
 
 
@@ -614,11 +716,16 @@ def lan_remainder(theta, theta0, omega_hat, n):
     diff = log_likelihood(omega_of_theta(theta), omega_hat, n) - log_likelihood(
         Om0, omega_hat, n
     )
-    I_per, g = _information(theta0, Om0, omega_hat)
+    F_J, B, g = _information(theta0, Om0, omega_hat)
     delta = theta.as_vector() - theta0.as_vector()
-    return diff - (n / 2.0) * float(g @ delta) + (n / 2.0) * float(
-        delta @ I_per @ delta
-    )
+    # delta^T I_per delta from the blocks: the active coordinates against
+    # F_J, each zero row's r coordinates against B
+    active = _active_rows(theta0.phi.A)
+    delta_J = delta[SupportSet(theta0.p, theta0.r, active).columns]
+    pmr = theta0.p - theta0.r
+    rows = np.delete(delta[: pmr * theta0.r].reshape(theta0.r, pmr).T, active, 0)
+    quad = delta_J @ F_J @ delta_J + np.einsum("ai,ij,aj->", rows, B, rows)
+    return diff - (n / 2.0) * float(g @ delta) + (n / 2.0) * float(quad)
 
 
 def sin_theta_tail(draws, U0, m_const, s, p, n):

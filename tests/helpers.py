@@ -3,9 +3,10 @@
 Finite differences here are the independent check on every hand-derived
 Jacobian: plain central differences, no reuse of package derivative code.
 The dense (I - X) solve is the oracle for the closed-form frame, the dense
-Kronecker/Gamma Jacobian the oracle for the structured one, a per-support
-loop the oracle for the stacked limit posterior, and a per-restart loop the
-oracle for the stacked k-means.
+Kronecker/Gamma Jacobian the oracle for the structured one, the dense d x d
+Fisher and a per-support loop the oracle for the block limit posterior, a
+per-restart loop the oracle for the stacked k-means, and float uniforms and
+Generator.normal the oracles for the samplers that avoid them.
 """
 
 import math
@@ -116,14 +117,52 @@ def dense_cayley_jacobian(phi):
     return 2.0 * kron(S[:, :r].T, S) @ gamma_matrix(p, r)
 
 
+def dense_information(theta, omega, omega_hat=None):
+    """Oracle for spiked._information: the dense d x d per-sample Fisher
+    (1/2) DSigma^T (K kron K) DSigma and the score DSigma^T vec(K (omega_hat
+    - omega) K), K = inv(omega), from the full Jacobian of the frame and the
+    r x r trace formulas documented in spiked._information.  Returns
+    (F, score), score None without omega_hat."""
+    from lowrank_rep import cayley_jacobian, cayley_map, duplication_matrix
+
+    p, r = theta.p, theta.r
+    U = cayley_map(theta.phi).matrix
+    M = theta.core
+    K = np.linalg.inv(omega)
+    KU = K @ U
+    V = U.T @ KU
+    dup = duplication_matrix(r)
+    # X[b, i, k] = dU_k[i, b]: column k of DU is vec(dU_k), column-major
+    X = cayley_jacobian(theta.phi).reshape(r, p, -1)
+    n_phi = X.shape[2]
+    R = np.einsum("ia,bik->abk", KU, X)
+    P = np.einsum("ac,cbk->abk", M, R)
+    XG = np.tensordot(M @ V @ M, X, axes=(1, 0))
+    KX = np.matmul(K, X)
+    F_phi = P.reshape(r * r, n_phi).T @ P.transpose(1, 0, 2).reshape(r * r, n_phi)
+    F_phi += XG.reshape(r * p, n_phi).T @ KX.reshape(r * p, n_phi)
+    RMV = np.einsum("ack,cb->bak", R, M @ V).reshape(r * r, n_phi)
+    F_cross = RMV.T @ dup
+    F_mu = 0.5 * dup.T @ kron(V, V) @ dup
+    F = np.block([[F_phi, F_cross], [F_cross.T, F_mu]])
+    F = 0.5 * (F + F.T)
+    if omega_hat is None:
+        return F, None
+    DKU = (np.asarray(omega_hat, dtype=float) - omega) @ KU
+    BY = K @ DKU @ M
+    score_phi = 2.0 * BY.T.reshape(r * p) @ X.reshape(r * p, n_phi)
+    score_mu = dup.T @ (KU.T @ DKU).ravel(order="F")
+    return F, np.concatenate([score_phi, score_mu])
+
+
 def loop_limit_posterior(omega_hat, model, cap, a_const=1.0):
-    """Oracle for spiked.limit_posterior: one support at a time, with its own
+    """Oracle for spiked.limit_posterior: the dense information of
+    dense_information, then one support at a time, with its own submatrix,
     Cholesky, solve, matvecs, gamma_mc call and Python-float log weight."""
     from lowrank_rep.spiked import (
         LimitPosterior,
         PosteriorComponent,
         _enumerate_supports,
-        _information,
         _log_size_prior,
         gamma_mc,
         omega_of_theta,
@@ -132,7 +171,7 @@ def loop_limit_posterior(omega_hat, model, cap, a_const=1.0):
     theta0 = model.theta0
     n = model.n
     v0 = theta0.as_vector()
-    I_per, score = _information(theta0, omega_of_theta(theta0), omega_hat)
+    I_per, score = dense_information(theta0, omega_of_theta(theta0), omega_hat)
     half_score = 0.5 * n * score
     log_size_prior = _log_size_prior(model.p, model.r, a_const, n)
     supports = _enumerate_supports(model, cap)
@@ -166,6 +205,50 @@ def loop_limit_posterior(omega_hat, model, cap, a_const=1.0):
             for sup, wk, mean, cov in zip(supports, w, means, covs)
         ),
     )
+
+
+def loop_sample_limit_posterior(lp, draws, seed):
+    """Oracle for spiked.sample_limit_posterior: one Cholesky factor, one
+    standard_normal call and one scatter per component, in component order."""
+    gen = generator(seed)
+    weights = np.array([c.weight for c in lp.components])
+    out = np.zeros((draws, lp.d))
+    which = gen.choice(len(lp.components), size=draws, p=weights)
+    for k, comp in enumerate(lp.components):
+        rows = np.flatnonzero(which == k)
+        if rows.size == 0:
+            continue
+        L = np.linalg.cholesky(comp.cov)
+        z = gen.standard_normal((rows.size, comp.mean.size))
+        out[np.ix_(rows, comp.support.columns)] = comp.mean[None, :] + z @ L.T
+    return out
+
+
+def float_sample_adjacency(model, seed):
+    """Oracle for sbm.sample_adjacency: row blocks of Generator.random
+    uniforms compared with the gathered probabilities, then np.triu."""
+    tau = model.tau0.labels
+    n = tau.size
+    gen = generator(seed)
+    up = np.empty((n, n), dtype=bool)
+    step = max(1, 2**17 // max(n, 1))
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        u = gen.random((i1 - i0, n))
+        np.less(
+            u[:, i0:], model.Sigma0[tau[i0:i1]][:, tau[i0:]], out=up[i0:i1, i0:]
+        )
+    A = np.triu(up, 1)
+    A |= A.T
+    return A.view(np.int8)
+
+
+def normal_sample_data(model, seed):
+    """Oracle for bicluster.sample_data with Gaussian noise:
+    Generator.normal(0, s) plus the block mean."""
+    mean = np.take(model.Sigma0[model.tau0.labels], model.gamma0.labels, axis=1)
+    s = float(np.sqrt(model.sigma2))
+    return mean + generator(seed).normal(0.0, s, size=(model.m, model.n))
 
 
 def _loop_sq_dists(rows, centroids):

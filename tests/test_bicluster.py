@@ -1,7 +1,8 @@
 """Biclustering pipeline tests.
 
 Oracles: exact reconstruction at zero noise, the one-hot product
-Z_row Sigma0 Z_col^T for the sampler mean, CLT and moment bounds for the
+Z_row Sigma0 Z_col^T for the sampler mean, Generator.normal for the
+in-place Gaussian noise, CLT and moment bounds for the
 samplers, a hand-derived closed form for the limiting covariance under
 uniform proportions, and a direct Monte Carlo check that the standardized
 estimation errors have identity covariance.
@@ -33,7 +34,7 @@ from lowrank_rep.rectrep import (
 )
 from lowrank_rep.sbm import balanced_assignment
 
-from helpers import rng
+from helpers import normal_sample_data, rng
 
 # rank-2 3x3 block means with well-separated rows and columns
 SIGMA_B = np.outer([1.0, 2.0, 3.0], [1.0, 0.5, 2.0]) + np.outer(
@@ -106,6 +107,27 @@ def test_sample_mean_matches_one_hot_product(seed):
     Zc[np.arange(n), gamma.labels] = 1.0
     Y = sample_data(BiclusterModel(Sigma, tau, gamma, 0.0), seed)
     assert np.array_equal(Y, Zr @ Sigma @ Zc.T)
+
+
+@given(
+    st.integers(1, 300) | st.just(1201),
+    st.integers(1, 300),
+    st.floats(1e-6, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_gaussian_sample_matches_normal_oracle(m, n, sigma2, seed):
+    # scaling standard normals in place reproduces normal(0, s) + mean bit
+    # for bit
+    gen = rng(seed)
+    p1, p2 = min(3, m), min(3, n)
+    Sigma = gen.normal(size=(p1, p2))
+    tau = ClusterAssignment(gen.integers(0, p1, m), p1)
+    gamma = ClusterAssignment(gen.integers(0, p2, n), p2)
+    model = BiclusterModel(Sigma, tau, gamma, sigma2)
+    Y = sample_data(model, seed)
+    want = normal_sample_data(model, seed)
+    assert np.array_equal(Y.view(np.int64), want.view(np.int64))
 
 
 def test_sample_deterministic():

@@ -1,7 +1,7 @@
 """Block-model pipeline tests.
 
 Oracles: binomial tail bounds for sampling, the full-matrix broadcast-index
-formula for the streamed edge draws, dense eigh for the Lanczos span,
+formula and the float-uniform sampler for the streamed integer edge draws, dense eigh for the Lanczos span,
 explicit loops over index pairs for the class tally, log-likelihood, score
 and Fisher matrix, finite differences for the score, the closed-form
 saturated estimator at full rank, and the law-of-large-numbers bridge
@@ -48,7 +48,7 @@ from lowrank_rep.sbm import (
 from lowrank_rep.sbm import _leading_eigvecs, _symv_operator
 from lowrank_rep.symrep import ThetaSym, dsigma, sigma_of_theta, theta_of_sigma
 
-from helpers import fd_jacobian, rng
+from helpers import fd_jacobian, float_sample_adjacency, rng
 
 # rank-2 K=3 block matrix with entries well inside (0,1)
 SIGMA_R2 = np.outer([0.7, 0.5, 0.6], [0.7, 0.5, 0.6]) + 0.1 * np.outer(
@@ -168,6 +168,48 @@ def test_streamed_adjacency_matches_full_matrix_oracle(k, n, seed):
     upper = np.triu(generator(seed).random((n, n)) < P, 1).astype(np.int8)
     oracle = upper + upper.T
     A = sample_adjacency(model, seed)
+    assert A.dtype == oracle.dtype
+    assert np.array_equal(A, oracle)
+
+
+# one raw word below and at each side of the threshold of P
+_EDGE_P = (2.0**-60, 2.0**-53, 0.5, 1.0 - 2.0**-53)
+
+
+@given(st.one_of(st.sampled_from(_EDGE_P), st.floats(2.0**-70, 1.0, exclude_max=True)))
+@settings(max_examples=200, deadline=None)
+def test_word_thresholds_match_float_uniforms(P):
+    # random() is (w >> 11) 2^-53; the integer test must agree on the words
+    # that straddle the threshold and on the extremes
+    t = int(sbm._word_thresholds(P))
+    words = {0, 2**64 - 1, t, max(t - 1, 0), min(t + 1, 2**64 - 1), t - 2048 if t >= 2048 else 0}
+    for w in words:
+        assert (w < t) == ((w >> 11) * 2.0**-53 < P)
+
+
+@given(
+    k=st.integers(1, 4),
+    n=st.one_of(st.integers(1, 300), st.just(1201)),
+    seed=st.integers(0, 2**32 - 1),
+    edge=st.lists(st.sampled_from(_EDGE_P), min_size=1, max_size=3),
+)
+@example(k=2, n=1201, seed=5, edge=[2.0**-60, 1.0 - 2.0**-53])
+@example(k=1, n=1, seed=6, edge=[1.0 - 2.0**-53])
+@settings(max_examples=30, deadline=None)
+def test_integer_adjacency_matches_float_uniform_oracle(k, n, seed, edge):
+    # shuffled labels, a random symmetric truth with extreme probabilities
+    # on some entries, against the float-uniform sampler
+    gen = rng(seed)
+    labels = gen.integers(0, k, n)
+    S = np.triu(gen.uniform(0.02, 0.98, size=(k, k)))
+    for e in edge:
+        S[gen.integers(0, k), gen.integers(0, k)] = e
+    S = np.triu(S) + np.triu(S, 1).T
+    sv = np.linalg.svd(S, compute_uv=False)
+    r = int(np.sum(sv > 1e-9 * sv[0]))
+    model = SbmModel(S, ClusterAssignment(labels, k), r, np.full(k, 1.0 / k))
+    A = sample_adjacency(model, seed)
+    oracle = float_sample_adjacency(model, seed)
     assert A.dtype == oracle.dtype
     assert np.array_equal(A, oracle)
 

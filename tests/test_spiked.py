@@ -47,6 +47,7 @@ from lowrank_rep.spiked import (
     _information,
     _log_pi_p,
     _log_size_prior,
+    _omega_min_eig,
     fisher_spiked,
     gamma_bounds,
     gamma_mc,
@@ -67,9 +68,11 @@ from helpers import (
     chart_points,
     dense_cayley_frame,
     dense_cayley_jacobian,
+    dense_information,
     edge_point,
     fd_jacobian,
     loop_limit_posterior,
+    loop_sample_limit_posterior,
     random_core_sym,
     random_theta_sym,
     rng,
@@ -202,6 +205,25 @@ def test_omega_rejects_indefinite():
     theta = ThetaSym(Phi(2, 1, [0.0]), [-2.0])
     with pytest.raises(NotPositiveDefinite):
         omega_of_theta(theta)
+
+
+@given(chart_points(p_max=12), st.floats(0.5, 3.0))
+@example((Phi(3, 3, np.zeros(0)), rng(0)), 2.5)
+@settings(max_examples=100, deadline=None)
+def test_omega_gate_matches_dense_eigenvalues(point, max_mag):
+    # the r x r core gives the smallest eigenvalue of Sigma + I; cores with
+    # negative eigenvalues below -1 make it indefinite
+    phi, gen = point
+    theta = ThetaSym(phi, vech(random_core_sym(gen, phi.r, max_mag=max_mag)))
+    dense = float(
+        np.linalg.eigvalsh(sigma_of_theta(theta) + np.eye(phi.p)).min()
+    )
+    assert abs(_omega_min_eig(theta) - dense) <= 1e-12
+    if dense > 1e-9:
+        omega_of_theta(theta)
+    elif dense < -1e-9:
+        with pytest.raises(NotPositiveDefinite):
+            omega_of_theta(theta)
 
 
 def test_sample_cov_concentrates():
@@ -341,7 +363,7 @@ def test_score_matches_dense_dsigma(point):
     phi, gen = point
     theta = ThetaSym(phi, vech(random_core_sym(gen, phi.r, pd=True)))
     omega_hat = _random_sample_cov(gen, phi.p)
-    _, got = _information(theta, omega_of_theta(theta), omega_hat)
+    _, _, got = _information(theta, omega_of_theta(theta), omega_hat)
     direct = _dense_score(theta, omega_hat)
     assert np.linalg.norm(got - direct) <= 1e-13 * np.linalg.norm(direct)
 
@@ -360,12 +382,17 @@ def test_fisher_and_score_match_dense_oracle_at_p48():
     model = workload_model(48)
     theta, omega = model.theta0, model.omega0
     _, omega_hat = sample_gaussian(omega, model.n, 0)
-    F, score = _information(theta, omega, omega_hat)
+    F_J, B, score = _information(theta, omega, omega_hat)
     D = dsigma(theta)
     K = np.linalg.inv(omega)
     direct = 0.5 * D.T @ kron(K, K) @ D
+    F = fisher_spiked(theta)
     assert np.linalg.norm(F - direct) <= 1e-13 * np.linalg.norm(direct)
-    assert np.array_equal(fisher_spiked(theta), F)
+    # the blocks sit in F as they came: F_J at the active rows (1, 4) and
+    # mu, B at every zero row
+    cols = SupportSet(48, 2, (1, 4)).columns
+    assert np.array_equal(F[np.ix_(cols, cols)], F_J)
+    assert np.array_equal(F[np.ix_([7, 53], [7, 53])], B)
     direct = _dense_score(theta, omega_hat)
     assert np.linalg.norm(score - direct) <= 1e-13 * np.linalg.norm(direct)
 
@@ -550,6 +577,20 @@ def test_posterior_weight_concentrates_on_true_support():
     assert lp.components[0].weight > 0.99
 
 
+def test_limit_posterior_at_p1024_keeps_no_dense_information():
+    # the dense d x d information alone would take 32 MiB here
+    model = workload_model(1024)
+    _, omega_hat = sample_gaussian(model.omega0, model.n, 0)
+    tracemalloc.start()
+    try:
+        lp = limit_posterior(omega_hat, model, cap=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lp.components) == 1021
+    assert peak < 32 * 2**20
+
+
 def test_limit_posterior_at_p512_fits_in_memory():
     # r=2, cap=3, true support of size 2: 510 - 2 + 1 = 509 components.
     # The p^2 x d DSigma alone would take 2.1 GB here.
@@ -566,43 +607,76 @@ def test_limit_posterior_at_p512_fits_in_memory():
     assert peak < 300 * 2**20
 
 
-@st.composite
-def posterior_cases(draw):
-    """(model, omega_hat, cap, a_const): a random PD model with r in 1..3 and
-    p <= 14, at a cap that gives one, two or three support sizes."""
-    r = draw(st.integers(1, 3))
-    p = draw(st.integers(r + 1, 14))
+def _posterior_case(r, p, s0, groups, zero_row, seed, n, a_const):
+    # a PD model on p, r with a random support0 of size s0, at a cap that
+    # gives `groups` support sizes; zero_row leaves the first row of
+    # support0 exactly zero
     pmr = p - r
-    s0 = draw(st.integers(0, min(3, pmr)))
-    groups = draw(st.integers(1, min(3, pmr - s0 + 1)))
-    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    gen = rng(seed)
     support0 = tuple(sorted(gen.choice(pmr, s0, replace=False).tolist()))
     A = np.zeros((pmr, r))
     if s0:
         A[list(support0)] = gen.normal(size=(s0, r))
+        if zero_row:
+            A[support0[0]] = 0.0
+    if A.any():
         A *= gen.uniform(0.05, 0.9) / np.linalg.norm(A, 2)
     theta = ThetaSym(
         Phi(p, r, A.ravel(order="F")), vech(random_core_sym(gen, r, pd=True))
     )
-    model = SpikedModel(theta, draw(st.integers(20, 600)), support0)
+    model = SpikedModel(theta, n, support0)
     _, omega_hat = sample_gaussian(model.omega0, model.n, int(gen.integers(2**31)))
-    a_const = draw(st.sampled_from([0.5, 1.0, 2.5]))
     return model, omega_hat, s0 + groups - 1, a_const
 
 
+@st.composite
+def posterior_cases(draw):
+    """(model, omega_hat, cap, a_const): a random PD model with r in 1..3 and
+    p <= 64, at a cap that gives one, two or three support sizes; support0
+    may be empty or hold an exactly zero row."""
+    r = draw(st.integers(1, 3))
+    p = draw(st.integers(r + 1, 64))
+    s0 = draw(st.integers(0, min(3, p - r)))
+    return _posterior_case(
+        r,
+        p,
+        s0,
+        draw(st.integers(1, min(3, p - r - s0 + 1))),
+        s0 > 0 and draw(st.booleans()),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(20, 600)),
+        draw(st.sampled_from([0.5, 1.0, 2.5])),
+    )
+
+
+def _assert_close(got, want, rtol=1e-12):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
 @given(posterior_cases())
+@example(_posterior_case(3, 64, 0, 3, False, 1, 400, 1.0))
+@example(_posterior_case(3, 64, 3, 2, True, 2, 600, 2.5))
+@example(_posterior_case(2, 48, 2, 2, False, 3, 400, 1.0))
+@example(_posterior_case(1, 9, 1, 3, True, 4, 50, 0.5))
 @settings(max_examples=60, deadline=None)
 def test_stacked_posterior_matches_per_support_loop(case):
+    # the blocks against the dense d x d information and a per-support loop
+    # over its submatrices: the summation order differs, so agreement is to
+    # 1e-12 relative, the weights relative to their sum of one
     model, omega_hat, cap, a_const = case
+    theta, omega = model.theta0, model.omega0
+    F, score = dense_information(theta, omega, omega_hat)
+    _assert_close(fisher_spiked(theta), F)
+    _assert_close(_information(theta, omega, omega_hat)[2], score)
     lp = limit_posterior(omega_hat, model, cap, a_const)
     oracle = loop_limit_posterior(omega_hat, model, cap, a_const)
     assert len(lp.components) == len(oracle.components)
     for got, want in zip(lp.components, oracle.components):
         assert got.support == want.support
-        assert got.weight == want.weight
+        assert abs(got.weight - want.weight) <= 1e-12
         assert type(got.weight) is float
-        assert np.array_equal(got.mean, want.mean)
-        assert np.array_equal(got.cov, want.cov)
+        _assert_close(got.mean, want.mean)
+        _assert_close(got.cov, want.cov)
 
 
 def test_gamma_mc_runs_once_per_support_size(monkeypatch):
@@ -621,25 +695,47 @@ def test_gamma_mc_runs_once_per_support_size(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "bad_row, first", [(2, (2, 5)), (0, (0, 2, 5)), (3, (2, 3, 5)), (6, (2, 5, 6))]
+    "bad_row, first", [(2, (2, 5)), (0, (0, 2, 5)), (3, (0, 2, 5)), (6, (0, 2, 5))]
 )
 def test_singular_information_names_first_failing_support(bad_row, first):
     # p=8, r=1, support0 (2, 5), cap 3: sizes 2 then 3, with five supports
-    # of size 3; a negative diagonal entry at a row fails every support
-    # that holds it
+    # of size 3.  A negative entry on the block of bad_row fails every
+    # support that holds that block: F_J for the active rows 2 and 5, held
+    # by every support, and the block B shared by all the zero rows, first
+    # held by (0, 2, 5)
     model = sparse_r1_model(0)
     supports = _enumerate_supports(model, 3)
     assert [s.size for s in supports] == [2, 3, 3, 3, 3, 3]
-    I_per = np.eye(model.d)
-    I_per[bad_row, bad_row] = -1.0
+    F_J, B = np.eye(3), np.eye(1)
+    if bad_row in model.support0:
+        F_J[model.support0.index(bad_row), model.support0.index(bad_row)] = -1.0
+    else:
+        B[0, 0] = -1.0
     with pytest.raises(SingularFisher, match=rf"S={re.escape(str(first))} "):
         spiked._mixture(
             model,
             supports,
-            I_per,
+            F_J,
+            B,
             np.zeros(model.d),
             _log_size_prior(model.p, model.r, 1.0, model.n),
         )
+
+
+def test_singular_shared_block_names_support0_holding_a_zero_row():
+    # support0 (2, 3, 5) with row 3 exactly zero: a non-PD B fails support0
+    # itself; with cap = |support0| and no zero row, B is never factored
+    model = replace(sparse_r1_model(0), support0=(2, 3, 5))
+    supports = _enumerate_supports(model, 3)
+    B = -np.eye(1)
+    args = (np.zeros(model.d), _log_size_prior(model.p, model.r, 1.0, model.n))
+    with pytest.raises(SingularFisher, match=r"S=\(2, 3, 5\) "):
+        spiked._mixture(model, supports, np.eye(3), B, *args)
+    model = sparse_r1_model(0)
+    log_w, _, _ = spiked._mixture(
+        model, _enumerate_supports(model, 2), np.eye(3), B, *args
+    )
+    assert log_w.shape == (1,)
 
 
 def _posterior(*components):
@@ -735,6 +831,26 @@ def test_sampler_component_frequencies():
     assert abs(f1 - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / 5000.0)
 
 
+def test_sampler_matches_per_component_loop():
+    # one pass per run of equal dimensions reads the stream positions of one
+    # standard_normal call per component; only the products round apart
+    model = workload_model(12)
+    _, omega_hat = sample_gaussian(model.omega0, model.n, 7)
+    lp = limit_posterior(omega_hat, model, cap=4)
+    # flatten the weights so that every component draws
+    comps = [replace(c, weight=1.0 / len(lp.components)) for c in lp.components]
+    lp = LimitPosterior(lp.p, lp.r, comps)
+    # runs of one dimension that are not contiguous: 9, 7, 9
+    mixed = LimitPosterior(
+        lp.p, lp.r, [replace(comps[k], weight=1.0 / 3) for k in (1, 0, 3)]
+    )
+    for post in (lp, mixed):
+        got = sample_limit_posterior(post, 3000, 91)
+        want = loop_sample_limit_posterior(post, 3000, 91)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_sampler_deterministic_and_empty():
     model = SpikedModel(canonical_theta(), 200, (1, 4))
     lp = limit_posterior(model.omega0, model, cap=2)
@@ -751,6 +867,23 @@ def test_lan_zero_at_truth():
     theta0 = canonical_theta()
     _, omega_hat = sample_gaussian(omega_of_theta(theta0), 100, 2)
     assert lan_remainder(theta0, theta0, omega_hat, 100) == 0.0
+
+
+def test_lan_matches_dense_quadratic_form():
+    # the block quadratic form against delta^T F delta with the dense F
+    theta0 = canonical_theta()
+    omega0 = omega_of_theta(theta0)
+    _, omega_hat = sample_gaussian(omega0, 200, 4)
+    u = rng(22).standard_normal(theta0.d)
+    theta = ThetaSym.from_vector(8, 2, theta0.as_vector() + 0.01 * u)
+    F, g = dense_information(theta0, omega0, omega_hat)
+    delta = theta.as_vector() - theta0.as_vector()
+    diff = log_likelihood(omega_of_theta(theta), omega_hat, 200) - log_likelihood(
+        omega0, omega_hat, 200
+    )
+    want = diff - 100.0 * float(g @ delta) + 100.0 * float(delta @ F @ delta)
+    got = lan_remainder(theta, theta0, omega_hat, 200)
+    assert abs(got - want) <= 1e-10 * max(abs(diff), 1.0)
 
 
 def test_lan_cubic_scaling():

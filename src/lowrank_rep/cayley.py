@@ -239,11 +239,17 @@ def _frame_factor(A):
     return Z + Z @ R
 
 
+def _frame_from_factor(Z):
+    # U = (I + X) Z = 2 Z - I_{p x r} from Z = _frame_factor(A), for one
+    # p x r factor or a stack of them
+    return 2.0 * Z - np.eye(*Z.shape[-2:])
+
+
 def _frame_of_rows(A):
-    # U = (I + X) Z = 2 Z - I_{p x r} for any real (p - r) x r block A, or a
-    # stack of blocks, also outside the chart ball; callers that need a
-    # chart point check the domain
-    return 2.0 * _frame_factor(A) - np.eye(A.shape[-2] + A.shape[-1], A.shape[-1])
+    # the frame U for any real (p - r) x r block A, or a stack of blocks,
+    # also outside the chart ball; callers that need a chart point check
+    # the domain
+    return _frame_from_factor(_frame_factor(A))
 
 
 def cayley_map(phi):

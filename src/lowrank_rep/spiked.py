@@ -23,7 +23,13 @@ from itertools import combinations, groupby
 import numpy as np
 from scipy.special import logsumexp
 
-from .cayley import _frame_factor, _frame_of_rows, _jacobian_columns, cayley_map
+from .cayley import (
+    _frame_factor,
+    _frame_from_factor,
+    _frame_of_rows,
+    _jacobian_columns,
+    cayley_map,
+)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -283,6 +289,19 @@ def _active_rows(A):
     return tuple(np.flatnonzero(np.any(A != 0.0, axis=1)).tolist())
 
 
+def _block_layout(A):
+    # Where the Fisher's blocks sit in theta at A: the active rows, the
+    # coordinates J of block F_J (the active rows' phi coordinates
+    # column-major, as SupportSet.columns, then mu), and a (z, r) array
+    # whose row holds the r coordinates a + b (p - r) of one zero row a,
+    # the coordinates of one copy of block B.
+    pmr, r = A.shape
+    active = _active_rows(A)
+    cols = SupportSet(pmr + r, r, active).columns
+    zero = np.setdiff1d(np.arange(pmr), active)
+    return active, cols, zero[:, None] + pmr * np.arange(r)
+
+
 def _information(theta, omega, omega_hat=None):
     # Per-sample Fisher (1/2) DSigma^T (K kron K) DSigma and score
     # DSigma^T vec(K (omega_hat - omega) K) at theta, with K = omega^{-1}
@@ -304,7 +323,7 @@ def _information(theta, omega, omega_hat=None):
     # zero row carries the same block B = 4 G M V M G and the score
     # 4 (C U M)[r+a] G.  The dense Fisher is therefore blockdiag(F_J, I kron
     # B) up to the order of coordinates, where J holds the phi coordinates
-    # of the active rows (column-major, as SupportSet.columns) and then mu.
+    # of the active rows and then mu, laid out as _block_layout gives them.
     # With a fixed number of active rows this costs O(p r^2), plus O(p^2 r)
     # for the score.  Returns (F_J, B, score); score is None when omega_hat
     # is None.  F_J, and B when some row is zero, must pass the eigvalsh PD
@@ -312,7 +331,7 @@ def _information(theta, omega, omega_hat=None):
     p, r = theta.p, theta.r
     A = theta.phi.A
     Z = _frame_factor(A)
-    U = 2.0 * Z - np.eye(p, r)
+    U = _frame_from_factor(Z)
     G = Z[:r]
     M = theta.core
     V = np.linalg.inv(np.eye(r) + M)
@@ -364,14 +383,10 @@ def fisher_spiked(theta0):
     from its blocks: F_J for the active rows of A and mu, and the r x r
     block B at every exactly zero row.
     """
-    p, r = theta0.p, theta0.r
     F_J, B, _ = _information(theta0, omega_of_theta(theta0))
-    active = _active_rows(theta0.phi.A)
+    _, cols, zc = _block_layout(theta0.phi.A)
     F = np.zeros((theta0.d, theta0.d))
-    cols = SupportSet(p, r, active).columns
     F[np.ix_(cols, cols)] = F_J
-    zero = np.setdiff1d(np.arange(p - r), active)
-    zc = zero[:, None] + (p - r) * np.arange(r)
     F[zc[:, :, None], zc[:, None, :]] = B
     return F
 
@@ -547,8 +562,7 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
     n, r = model.n, model.r
     pmr = model.p - r
     n_mu = r * (r + 1) // 2
-    active = _active_rows(model.theta0.phi.A)
-    cols = SupportSet(model.p, r, active).columns
+    active, cols, _ = _block_layout(model.theta0.phi.A)
     info_J, info_B = n * F_J, n * B
     log_2pi = math.log(2.0 * math.pi)
     try:
@@ -720,10 +734,8 @@ def lan_remainder(theta, theta0, omega_hat, n):
     delta = theta.as_vector() - theta0.as_vector()
     # delta^T I_per delta from the blocks: the active coordinates against
     # F_J, each zero row's r coordinates against B
-    active = _active_rows(theta0.phi.A)
-    delta_J = delta[SupportSet(theta0.p, theta0.r, active).columns]
-    pmr = theta0.p - theta0.r
-    rows = np.delete(delta[: pmr * theta0.r].reshape(theta0.r, pmr).T, active, 0)
+    _, cols, zc = _block_layout(theta0.phi.A)
+    delta_J, rows = delta[cols], delta[zc]
     quad = delta_J @ F_J @ delta_J + np.einsum("ai,ij,aj->", rows, B, rows)
     return diff - (n / 2.0) * float(g @ delta) + (n / 2.0) * float(quad)
 

@@ -1,7 +1,7 @@
 """Scale study of the spiked limit posterior.
 
-    python3 studies/spiked_scale.py                      # writes BENCH_spiked_scale.json
-    python3 studies/spiked_scale.py --p 256 512 --out /tmp/scale.json
+    python3 studies/spiked_scale.py                 # writes BENCH_spiked_scale.json
+    python3 studies/spiked_scale.py --out scale.json
 
 Times a warm `limit_posterior` at the spiked-p48 benchmark truth grown to
 dimension p (r=2, n=400, rows 1 and 4 of A0 active, cap=3, so p - 3
@@ -71,8 +71,8 @@ def _peak_mib(fn):
         tracemalloc.stop()
 
 
-def measure(p_values):
-    """One row per p, in this process."""
+def measure():
+    """One row per p of P_VALUES, in this process."""
     from lowrank_rep.spiked import _information, limit_posterior, sample_gaussian
 
     try:
@@ -82,7 +82,7 @@ def measure(p_values):
         dense_information = None
 
     rows = []
-    for p in p_values:
+    for p in P_VALUES:
         model = workload_model(p)
         _, omega_hat = sample_gaussian(model.omega0, model.n, 0)
         theta, omega = model.theta0, model.omega0
@@ -106,22 +106,21 @@ def measure(p_values):
     return rows
 
 
-def child(p_values):
+def child():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     from run import environment
 
-    rows = measure(p_values)
+    rows = measure()
     print(json.dumps({"env": environment(), "rows": rows}))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--p", type=int, nargs="+", default=list(P_VALUES))
     parser.add_argument("--out", default=str(ROOT / "BENCH_spiked_scale.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.p)
+        child()
         return 0
     runs = []
     for threads in ("1", "default"):
@@ -129,7 +128,7 @@ def main(argv=None):
         env.pop("OPENBLAS_NUM_THREADS", None)
         if threads != "default":
             env["OPENBLAS_NUM_THREADS"] = threads
-        cmd = [sys.executable, __file__, "--child", "--p", *map(str, args.p)]
+        cmd = [sys.executable, __file__, "--child"]
         out = subprocess.run(cmd, env=env, check=True, stdout=subprocess.PIPE, text=True)
         result = json.loads(out.stdout.strip().splitlines()[-1])
         result["blas_threads"] = threads

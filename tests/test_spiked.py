@@ -662,7 +662,7 @@ def _assert_close(got, want, rtol=1e-12):
 def test_stacked_posterior_matches_per_support_loop(case):
     # the blocks against the dense d x d information and a per-support loop
     # over its submatrices: the summation order differs, so agreement is to
-    # 1e-12 relative, the weights relative to their sum of one
+    # 1e-12 relative
     model, omega_hat, cap, a_const = case
     theta, omega = model.theta0, model.omega0
     F, score = dense_information(theta, omega, omega_hat)
@@ -673,7 +673,7 @@ def test_stacked_posterior_matches_per_support_loop(case):
     assert len(lp.components) == len(oracle.components)
     for got, want in zip(lp.components, oracle.components):
         assert got.support == want.support
-        assert abs(got.weight - want.weight) <= 1e-12
+        assert abs(got.weight - want.weight) <= 1e-12 * want.weight
         assert type(got.weight) is float
         _assert_close(got.mean, want.mean)
         _assert_close(got.cov, want.cov)

@@ -23,6 +23,7 @@ the run seed, and formatting is locale-independent.
 """
 
 import argparse
+import math
 import sys
 from operator import ge, le
 
@@ -87,7 +88,7 @@ def _get(cfg, key, default, parse, expected):
 def _finite_float(text):
     # nan and inf parse as floats, but no model or gate is defined at them
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(text)
     return value
 
@@ -540,17 +541,16 @@ def _run_bicluster_sim(cfg, seed_override, out_override):
 # =====================================================================
 
 
-def _full_means(components, d):
-    """Each component mean scattered into its support's columns of a length-d
-    row of zeros, as lists of floats: the values of selector @ mean, bit for
-    bit.  The dense product starts every sum from +0.0, so a -0.0 entry of
-    the mean comes out as +0.0; adding 0.0 does the same to the scatter.
+def _mean_cells(comp, d):
+    """A component's mean_1..mean_d cells, joined: its support mean in the
+    support's columns and 0 elsewhere, the bytes of selector @ mean.  The
+    dense product starts every sum from +0.0, so a -0.0 entry of the mean
+    prints as 0; adding 0.0 does the same here.
     """
-    rows = np.zeros((len(components), d))
-    which = np.repeat(np.arange(len(components)), [c.support.dim for c in components])
-    cols = np.concatenate([c.support.columns for c in components])
-    rows[which, cols] = np.concatenate([c.mean for c in components]) + 0.0
-    return rows.tolist()
+    cells = ["0"] * d
+    for col, value in zip(comp.support.columns, (comp.mean + 0.0).tolist()):
+        cells[col] = "%.17g" % value
+    return ",".join(cells)
 
 
 def _run_spiked(cfg, seed_override, out_override):
@@ -609,12 +609,10 @@ def _run_spiked(cfg, seed_override, out_override):
     header += [f"mean_{j + 1}" for j in range(model.d)]
     rows = []
     support0_weight = 0.0
-    full_means = _full_means(lp.components, model.d)
-    for idx, (comp, mean_full) in enumerate(zip(lp.components, full_means)):
-        rows.append(
-            [idx, ";".join(str(j) for j in comp.support.indices), comp.support.size, comp.weight]
-            + mean_full
-        )
+    for idx, comp in enumerate(lp.components):
+        support = ";".join(str(j) for j in comp.support.indices)
+        cells = _mean_cells(comp, model.d)
+        rows.append([idx, support, comp.support.size, comp.weight, cells])
         if comp.support.indices == model.support0:
             support0_weight = float(comp.weight)
     top = max(lp.components, key=lambda c: c.weight)
@@ -661,17 +659,20 @@ _RUNNERS = {
 }
 
 
+# built once: building the parser costs several times what a parse does
+_PARSER = argparse.ArgumentParser(
+    prog="lowrank-rep",
+    description="Certificate sweeps and simulation studies for the "
+    "low-rank chart representations.",
+)
+_PARSER.add_argument("kind", choices=KINDS)
+_PARSER.add_argument("--config", required=True, help="key=value config file")
+_PARSER.add_argument("--seed", type=int, default=None, help="override config seed")
+_PARSER.add_argument("--out", default=None, help="override output CSV path")
+
+
 def run(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="lowrank-rep",
-        description="Certificate sweeps and simulation studies for the "
-        "low-rank chart representations.",
-    )
-    parser.add_argument("kind", choices=KINDS)
-    parser.add_argument("--config", required=True, help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--out", default=None, help="override output CSV path")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = parse_config(args.config)
         ok = _RUNNERS[args.kind](cfg, args.seed, args.out)

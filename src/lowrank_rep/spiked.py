@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations, groupby
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cayley import (
     _frame_factor,
@@ -397,14 +396,14 @@ def fisher_spiked(theta0):
 
 
 def _log_size_prior(p, r, a_const, n):
-    # Support-size prior n^{-rt} (p-r)^{-at} / z_n for every t = 0..p-r,
-    # with the normalizer summed exactly (finite geometric series).
+    # Support-size prior q^t / z_n for every t = 0..p-r, q = n^{-r} (p-r)^{-a};
+    # z_n = sum_t q^t = (1 - q^{p-r+1}) / (1 - q), or p - r + 1 at q = 1.
     pmr = p - r
     if pmr == 0:
         return np.zeros(1)
     log_q = -r * math.log(n) - a_const * math.log(pmr)
-    t = np.arange(pmr + 1)
-    return t * log_q - float(logsumexp(log_q * t))
+    z = math.expm1((pmr + 1) * log_q) / math.expm1(log_q) if log_q else pmr + 1
+    return np.arange(pmr + 1) * log_q - math.log(z)
 
 
 def _log_pi_p(t, p, r, a_const, n):

@@ -10,6 +10,10 @@ tracemalloc peak.  The block `_information` is timed next to the dense d x d
 oracle of tests/helpers.py, the "before"; the oracle runs only at p <= 1024,
 because its time grows as p^3 and its memory as p^2, and only where the
 test dependencies that tests/helpers.py imports (hypothesis) are installed.
+At p <= 2048 a fresh process also runs the same truth end to end through
+`lowrank_rep.cli.run` (spiked-limit-posterior, seed 0): one untimed job to
+load the imports and the gamma cache, then the median of three timed jobs;
+its ru_maxrss is the process's peak resident memory.
 
 Each BLAS thread setting (1, and the library default) runs in a fresh
 process, since OpenBLAS fixes its thread count when it loads.  The output
@@ -19,12 +23,15 @@ of a source checkout.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -32,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 P_VALUES = (256, 512, 1024, 2048, 4096)
 DENSE_P_MAX = 1024
+CLI_P_MAX = 2048
+CLI_REPEATS = 3
 CAP = 3
 REPEATS = 5
 
@@ -71,6 +80,43 @@ def _peak_mib(fn):
         tracemalloc.stop()
 
 
+def cli_job(p):
+    """Median wall time of warm CLI jobs at the workload truth of dimension p,
+    and the peak resident memory of this process."""
+    from lowrank_rep import cli
+
+    theta = workload_model(p).theta0
+    config = (
+        f"p={p}\nr=2\nA0={','.join(map(repr, theta.phi.A.ravel().tolist()))}\n"
+        f"mu={','.join(map(repr, theta.mu.tolist()))}\nn=400\ncap={CAP}\nseed=0\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "job.cfg")
+        path.write_text(config)
+        jobs = itertools.count()
+
+        def job():
+            # a fresh output path per job: rewriting a file measures the disk
+            out = Path(tmp, f"{next(jobs)}.csv")
+            argv = ["spiked-limit-posterior", "--config", str(path), "--out", str(out)]
+            if cli.run(argv) != 0:
+                raise RuntimeError(f"CLI job failed at p={p}")
+
+        elapsed = _timed(job, CLI_REPEATS)
+    return {
+        "cli_job_s": elapsed,
+        "cli_peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def _fresh_cli_job(p, env):
+    # Spawned from the small parent process, not from measure(): Linux starts
+    # a child's ru_maxrss at the peak of the process it was forked from.
+    cmd = [sys.executable, __file__, "--cli-job", str(p)]
+    out = subprocess.run(cmd, env=env, check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 def measure():
     """One row per p of P_VALUES, in this process."""
     from lowrank_rep.spiked import _information, limit_posterior, sample_gaussian
@@ -106,8 +152,11 @@ def measure():
     return rows
 
 
-def child():
+def child(cli_p=None):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    if cli_p is not None:
+        print(json.dumps(cli_job(cli_p)))
+        return
     from run import environment
 
     rows = measure()
@@ -118,9 +167,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_spiked_scale.json"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--cli-job", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        child()
+    if args.child or args.cli_job is not None:
+        child(args.cli_job)
         return 0
     runs = []
     for threads in ("1", "default"):
@@ -134,12 +184,16 @@ def main(argv=None):
         result["blas_threads"] = threads
         runs.append(result)
         for row in result["rows"]:
+            if row["p"] <= CLI_P_MAX:
+                row.update(_fresh_cli_job(row["p"], env))
             dense = row.get("dense_information_s", math.nan)
             print(
                 f"threads={threads} p={row['p']} components={row['components']} "
                 f"limit_posterior={row['limit_posterior_s']:.4f}s "
                 f"peak={row['limit_posterior_peak_mib']:.1f}MiB "
-                f"information={row['information_s']:.4f}s dense={dense:.4f}s"
+                f"information={row['information_s']:.4f}s dense={dense:.4f}s "
+                f"cli_job={row.get('cli_job_s', math.nan):.3f}s "
+                f"rss={row.get('cli_peak_rss_mib', math.nan):.0f}MiB"
             )
     Path(args.out).write_text(
         json.dumps({"study": "spiked_scale", "cap": CAP, "runs": runs}, indent=2)

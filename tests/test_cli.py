@@ -390,12 +390,25 @@ def scattered_components(draw):
 @settings(max_examples=200, deadline=None)
 def test_scattered_means_match_selector_product(case):
     comps, d = case
-    rows = cli._full_means(comps, d)
-    assert len(rows) == len(comps)
-    for row, comp in zip(rows, comps):
-        assert all(type(v) is float for v in row)
+    for comp in comps:
+        cells = cli._mean_cells(comp, d)
         dense = comp.support.selector @ comp.mean
-        assert np.array_equal(np.array(row).view(np.int64), dense.view(np.int64))
+        assert cells == ",".join("%.17g" % v for v in dense)
+        assert "-0" not in cells.split(",")
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # scipy.special took 66-78 ms of every CLI process start
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    code = "import sys, lowrank_rep.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # ---- bad values: every one is a config error (exit 2), found before the run ----

@@ -471,6 +471,21 @@ def test_size_prior_entries_match_per_size_calls():
         assert abs(np.logaddexp.reduce(table)) < 1e-12
 
 
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 2), (5, 1), (5, 2), (49, 2), (1000, 1), (1000, 3)])
+@pytest.mark.parametrize("a_const", [1e-300, 1e-9, 0.7, 1.0, 400.0])
+@pytest.mark.parametrize("n", [1, 2, 400, 10**9])
+def test_size_prior_closed_form_matches_logsumexp(p, r, a_const, n):
+    # the grid holds q = 1 (n = 1, p - r = 1), q -> 1 (n = 1, tiny a_const)
+    # and q^t underflowing to 0 (n = 1e9 or a_const = 400)
+    from scipy.special import logsumexp
+
+    t = np.arange(p - r + 1)
+    log_q = -r * math.log(n) - a_const * math.log(p - r)
+    expected = t * log_q - logsumexp(t * log_q)
+    got = _log_size_prior(p, r, a_const, n)
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
 def test_prior_rejects_rows_off_support():
     A = np.zeros((4, 1))
     A[0, 0] = 0.3

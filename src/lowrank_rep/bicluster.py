@@ -11,20 +11,24 @@ means: block (s,t) averages about (m w_s)(n pi_t) entries, so
 sqrt(mn) (Sigma_hat - Sigma0)_st has variance sigma2 / (w_s pi_t).
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg
 
-from .cluster import ClusterAssignment, align_labels, kmeans, relabel
+from .cluster import (
+    ClusterAssignment,
+    align_labels,
+    balanced_assignment,
+    kmeans,
+    relabel,
+)
 from .errors import DimensionMismatch, EmptyBlock, NotPositiveDefinite, SingularGram
 from .gaussnewton import first_admissible
 from .matkit import vec
 from .mc import Study, StudySize, invsqrt_pd, run_study
 from .rectrep import dsigma_rect, sigma_of_theta_rect, theta_of_sigma_rect
 from .rngs import generator, substream
-from .sbm import balanced_assignment
 
 __all__ = [
     "BiclusterModel",
@@ -40,18 +44,12 @@ __all__ = [
 GRAM_COND_MAX = 1e12
 # full SVD below this size, Lanczos above
 DENSE_SVD_MAX = 400
-NOISE_KINDS = ("gaussian", "uniform", "rademacher")
+NOISE_KINDS = ("gaussian", "uniform")
 
 
 @dataclass(frozen=True)
 class BiclusterModel:
-    """Ground truth: block means, row/column memberships, noise variance.
-
-    min_separation is a generator-side sanity threshold: if distinct rows
-    (or columns) of Sigma0 are closer than this in Euclidean distance, a
-    warning is emitted, since clustering consistency degrades as block mean
-    profiles collide.
-    """
+    """Ground truth: block means, row/column memberships, noise variance."""
 
     Sigma0: np.ndarray = field(repr=False)
     tau0: ClusterAssignment = None
@@ -59,7 +57,6 @@ class BiclusterModel:
     sigma2: float = 1.0
     w: np.ndarray = field(default=None, repr=False)
     pi: np.ndarray = field(default=None, repr=False)
-    min_separation: float = 0.0
 
     def __post_init__(self):
         S = np.asarray(self.Sigma0, dtype=float)
@@ -79,14 +76,6 @@ class BiclusterModel:
             if probs.shape != (k,) or probs.min() <= 0 or abs(probs.sum() - 1) > 1e-12:
                 raise DimensionMismatch(
                     f"{name} must be a positive length-{k} probability vector"
-                )
-        if self.min_separation > 0:
-            sep = min(_min_pairwise(S), _min_pairwise(S.T))
-            if sep < self.min_separation:
-                warnings.warn(
-                    f"block mean profiles separated by only {sep:.3g} "
-                    f"(threshold {self.min_separation:.3g})",
-                    stacklevel=2,
                 )
         object.__setattr__(self, "Sigma0", S)
         object.__setattr__(self, "w", w)
@@ -109,14 +98,6 @@ class BiclusterModel:
         return self.gamma0.n
 
 
-def _min_pairwise(S):
-    k = S.shape[0]
-    if k < 2:
-        return np.inf
-    d = np.linalg.norm(S[:, None, :] - S[None, :, :], axis=2)
-    return float(d[np.triu_indices(k, 1)].min())
-
-
 def _one_hot(assignment):
     Z = np.zeros((assignment.n, assignment.k))
     Z[np.arange(assignment.n), assignment.labels] = 1.0
@@ -126,8 +107,8 @@ def _one_hot(assignment):
 def sample_data(model, seed, noise="gaussian"):
     """Signal-plus-noise sample, deterministic per seed.
 
-    noise picks the mean-zero family, all scaled to variance sigma2:
-    gaussian, uniform on [-sqrt(3) s, sqrt(3) s], or rademacher +-s.
+    noise picks the mean-zero family, scaled to variance sigma2 = s^2:
+    gaussian, or uniform on [-sqrt(3) s, sqrt(3) s].
     """
     if noise not in NOISE_KINDS:
         raise DimensionMismatch(f"unknown noise family {noise!r}")
@@ -144,11 +125,9 @@ def sample_data(model, seed, noise="gaussian"):
         # the same values without a second m x n array
         E = gen.standard_normal(shape)
         E *= s
-    elif noise == "uniform":
+    else:
         half = np.sqrt(3.0) * s
         E = gen.uniform(-half, half, size=shape)
-    else:
-        E = s * (2.0 * (gen.random(shape) < 0.5) - 1.0)
     E += mean
     return E
 
@@ -225,21 +204,19 @@ def lse_theta(Sigma_hat, r):
     return theta
 
 
-def asymptotic_cov_G(theta, w, pi, sigma2, Pi1=None, Pi2=None):
+def asymptotic_cov_G(theta, w, pi, sigma2):
     """Limiting covariance G of sqrt(mn) (theta_hat - theta0).
 
     G = H^{-1} D^T diag(sigma2 vec(V)) D H^{-1} with H = D^T D and
     V_st = 1 / (w_s pi_t), the variance profile of the standardized block
     means (block (s,t) holds a w_s pi_t fraction of the mn entries).
-    Pi1/Pi2 permute the row/column proportions.  Symmetric PSD; raises
+    Symmetric PSD; raises
     NotPositiveDefinite when the profile or G overflows (a huge sigma2).
     """
     w = np.asarray(w, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    q1 = w if Pi1 is None else w[np.asarray(Pi1, dtype=np.int64)]
-    q2 = pi if Pi2 is None else pi[np.asarray(Pi2, dtype=np.int64)]
     with np.errstate(over="ignore", invalid="ignore"):
-        profile = sigma2 / np.outer(q1, q2)
+        profile = sigma2 / np.outer(w, pi)
     if not np.all(np.isfinite(profile)):
         raise NotPositiveDefinite(
             f"noise profile sigma2 / (w_s pi_t) overflows at sigma2 = {sigma2:.3g}"

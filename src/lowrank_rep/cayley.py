@@ -124,9 +124,6 @@ class Phi:
     def A(self):
         return unvec(self.values, (self.p - self.r, self.r))
 
-    def copy_with(self, values):
-        return Phi(self.p, self.r, values)
-
 
 @dataclass(frozen=True)
 class StiefelPlus:

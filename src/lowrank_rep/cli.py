@@ -202,9 +202,10 @@ def _kv_line(pairs):
 # fails at far pairs are reported as 'gated', never as failures.
 
 
-def _random_phi(gen, p, r, lo=0.05, hi=0.92):
+def _random_phi(gen, p, r):
+    # ||A||_2 uniform on [0.05, 0.92]: inside the chart ball, off its centre
     A = gen.standard_normal((p - r, r))
-    target = lo + (hi - lo) * float(gen.random())
+    target = 0.05 + (0.92 - 0.05) * float(gen.random())
     A *= target / max(matkit.spectral_norm(A), 1e-300)
     return Phi(p, r, A.ravel(order="F"))
 
@@ -331,10 +332,7 @@ def _z_row(row, d):
 
 
 def _summary_pairs(summary, mse_name):
-    pairs = [("n", summary.n)] if summary.m is None else [
-        ("m", summary.m),
-        ("n", summary.n),
-    ]
+    pairs = list(summary.fields.items())
     pairs += [
         ("replicates", summary.replicates),
         ("excluded", summary.excluded),
@@ -440,22 +438,18 @@ def _run_study(cfg, config, mse_name, seed, out, report_recovery=False):
         for summary in summaries
         for row in summary.rows
     ]
-    recoveries = [
-        float(np.mean([row["aligned_hamming"] == 0 for row in s.rows]))
-        for s in summaries
-    ]
     comments = []
-    for summary, recovery in zip(summaries, recoveries):
+    for summary in summaries:
         pairs = _summary_pairs(summary, mse_name)
         if report_recovery:
-            pairs.append(("exact_recovery", recovery))
+            pairs.append(("exact_recovery", summary.exact_recovery))
         comments.append(_kv_line(pairs))
     # per gate: the worst value over all sizes, and how it must compare
     checks = {
         "max_cov_dev": (max(s.cov_opnorm_dev_from_I for s in summaries), le),
         "coverage_lo": (min(float(np.min(s.coverage)) for s in summaries), ge),
         "coverage_hi": (max(float(np.max(s.coverage)) for s in summaries), le),
-        "min_exact_recovery": (min(recoveries), ge),
+        "min_exact_recovery": (min(s.exact_recovery for s in summaries), ge),
     }
     gates = []
     for name, bound in bounds.items():
@@ -519,8 +513,9 @@ def _run_bicluster_sim(cfg, seed_override, out_override):
     if pi and (len(pi) != p2 or any(v <= 0 for v in pi)):
         raise ConfigError(f"pi needs {p2} positive entries")
     noise = cfg.get("noise", "gaussian")
-    if noise not in ("gaussian", "uniform"):
-        raise ConfigError(f"noise must be gaussian or uniform, got {noise!r}")
+    if noise not in bicluster.NOISE_KINDS:
+        kinds = " or ".join(bicluster.NOISE_KINDS)
+        raise ConfigError(f"noise must be {kinds}, got {noise!r}")
     config = bicluster.BiclusterExperimentConfig(
         Sigma0=np.array(vals).reshape(p1, p2),
         r=r,

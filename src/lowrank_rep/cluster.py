@@ -1,4 +1,5 @@
-"""Clustering utilities: Lloyd's k-means with restarts, label alignment.
+"""Clustering utilities: balanced assignments, Lloyd's k-means with
+restarts, label alignment.
 
 k-means runs its restarts stacked in one k-means++ and one Lloyd pass; each
 restart keeps its own random stream and gets the labels, centroids and
@@ -24,6 +25,7 @@ from .rngs import substream
 
 __all__ = [
     "ClusterAssignment",
+    "balanced_assignment",
     "KmeansResult",
     "kmeans",
     "align_labels",
@@ -60,6 +62,22 @@ class ClusterAssignment:
 
     def counts(self):
         return np.bincount(self.labels, minlength=self.k)
+
+
+def balanced_assignment(n, pi):
+    """Deterministic membership with class sizes proportional to pi.
+
+    Largest-remainder rounding; labels laid out in sorted blocks.
+    """
+    pi = np.asarray(pi, dtype=float)
+    K = pi.size
+    counts = np.floor(pi * n).astype(np.int64)
+    short = n - counts.sum()
+    if short > 0:
+        frac = pi * n - np.floor(pi * n)
+        for j in np.argsort(-frac, kind="stable")[:short]:
+            counts[j] += 1
+    return ClusterAssignment(np.repeat(np.arange(K), counts), K)
 
 
 @dataclass(frozen=True)
@@ -185,6 +203,8 @@ def kmeans(rows, k, restarts=20, seed=0):
     n = rows.shape[0]
     if k < 1:
         raise DimensionMismatch(f"need k >= 1, got {k}")
+    if restarts < 1:
+        raise DimensionMismatch(f"need restarts >= 1, got {restarts}")
     if n < k:
         raise TooFewPoints(f"{n} rows for k={k} clusters")
     if not np.isfinite(rows).all():

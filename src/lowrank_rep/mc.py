@@ -1,13 +1,13 @@
 """Monte Carlo experiment scaffolding shared by the sbm and bicluster studies.
 
 A study standardizes per-replicate estimation errors against the theoretical
-asymptotic covariance, then reports the empirical mean and covariance of the
-standardized errors, per-coordinate 95% interval coverage, and scaled MSE
-tallies.  Replicates whose clustering step is not exactly recovered, or that
-fail outright (a NumericsError, such as a fit with no chart point in the
-true class order), are counted and excluded from the normality statistics,
-which condition on strong consistency.  run_study is the one replicate
-driver of both studies.
+asymptotic covariance, then reports how far the empirical covariance of the
+standardized errors is from the identity, per-coordinate 95% interval
+coverage, scaled MSE tallies and the exact-recovery rate.  Replicates whose
+clustering step is not exactly recovered, or that fail outright (a
+NumericsError, such as a fit with no chart point in the true class order),
+are counted and excluded from the normality statistics, which condition on
+strong consistency.  run_study is the one replicate driver of both studies.
 """
 
 from dataclasses import dataclass, field
@@ -34,41 +34,41 @@ def sqrt_psd(M):
     return (V * np.sqrt(lam)) @ V.T
 
 
-def invsqrt_pd(M, floor=1e-12):
-    """Symmetric inverse square root; eigenvalues floored relative to the top."""
+def invsqrt_pd(M):
+    """Symmetric inverse square root; eigenvalues floored at 1e-12 times
+    the top one."""
     lam, V = np.linalg.eigh(0.5 * (M + M.T))
-    lam = np.clip(lam, floor * max(lam[-1], 0.0) + 1e-300, None)
+    lam = np.clip(lam, 1e-12 * max(lam[-1], 0.0) + 1e-300, None)
     return (V / np.sqrt(lam)) @ V.T
 
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
-    """Aggregates for one study size.
+    """Aggregates for one study size, as its CSV summary line prints them.
 
-    z holds the standardized errors of the included replicates only, one row
-    per replicate.  rows carries every replicate's CSV-ready record in
-    replicate order (excluded ones included, flagged).
+    fields are the size's row fields ({"n": n} or {"m": m, "n": n}).  The
+    normality statistics cover the included replicates only; exact_recovery
+    is the fraction of all replicates with aligned_hamming 0.  rows carries
+    every replicate's CSV-ready record in replicate order (excluded ones
+    included, flagged).
     """
 
-    n: int
-    m: int | None
+    fields: dict
     replicates: int
     excluded: int
-    z: np.ndarray = field(repr=False)
-    mean: np.ndarray = field(repr=False)
-    cov: np.ndarray = field(repr=False)
     cov_opnorm_dev_from_I: float = np.nan
     coverage: np.ndarray = field(default=None, repr=False)
     mean_mse_main: float = np.nan
     mean_mse_naive: float = np.nan
+    exact_recovery: float = np.nan
     rows: list = field(default_factory=list, repr=False)
 
 
-def summarize_replicates(n, d, rows, m=None):
-    """Build a MonteCarloSummary from per-replicate records.
+def summarize_replicates(fields, d, rows):
+    """Build a MonteCarloSummary of one size from per-replicate records.
 
     Each row is a dict with at least keys 'excluded_flag', 'z' (length-d
-    array or None), 'mse_main', 'mse_naive'.
+    array or None), 'aligned_hamming', 'mse_main', 'mse_naive'.
     """
     included = [
         row for row in rows if not row["excluded_flag"] and row["z"] is not None
@@ -76,37 +76,34 @@ def summarize_replicates(n, d, rows, m=None):
     excluded = len(rows) - len(included)
     if included:
         z = np.vstack([row["z"] for row in included])
-        mean = z.mean(axis=0)
         if z.shape[0] > 1:
-            zc = z - mean
+            zc = z - z.mean(axis=0)
             cov = zc.T @ zc / (z.shape[0] - 1)
             dev = float(np.linalg.norm(cov - np.eye(d), 2))
         else:
-            cov = np.full((d, d), np.nan)
             dev = np.nan
         coverage = np.mean(np.abs(z) <= Z_975, axis=0)
         mse_main = float(np.mean([row["mse_main"] for row in included]))
         mse_naive = float(np.mean([row["mse_naive"] for row in included]))
     else:
-        z = np.zeros((0, d))
-        mean = np.full(d, np.nan)
-        cov = np.full((d, d), np.nan)
         dev = np.nan
         coverage = np.full(d, np.nan)
         mse_main = np.nan
         mse_naive = np.nan
+    recovery = (
+        float(np.mean([row["aligned_hamming"] == 0 for row in rows]))
+        if rows
+        else np.nan
+    )
     return MonteCarloSummary(
-        n=n,
-        m=m,
+        fields=fields,
         replicates=len(rows),
         excluded=excluded,
-        z=z,
-        mean=mean,
-        cov=cov,
         cov_opnorm_dev_from_I=dev,
         coverage=coverage,
         mean_mse_main=mse_main,
         mean_mse_naive=mse_naive,
+        exact_recovery=recovery,
         rows=list(rows),
     )
 
@@ -173,9 +170,5 @@ def run_study(study, replicates, base_seed):
             except NumericsError:
                 pass  # stays excluded, with the fields recorded so far
             rows.append(row)
-        summaries.append(
-            summarize_replicates(
-                size.fields["n"], study.theta0.d, rows, m=size.fields.get("m")
-            )
-        )
+        summaries.append(summarize_replicates(size.fields, study.theta0.d, rows))
     return summaries

@@ -15,7 +15,13 @@ import numpy as np
 import scipy.sparse.linalg
 from scipy.linalg.blas import dsymv
 
-from .cluster import ClusterAssignment, align_labels, kmeans, relabel
+from .cluster import (
+    ClusterAssignment,
+    align_labels,
+    balanced_assignment,
+    kmeans,
+    relabel,
+)
 from .errors import (
     AsymmetricInput,
     DimensionMismatch,
@@ -27,7 +33,13 @@ from .errors import (
 from .gaussnewton import first_admissible
 from .mc import Study, StudySize, run_study, sqrt_psd
 from .rngs import generator, substream
-from .symrep import ThetaSym, dsigma, sigma_of_theta, theta_of_sigma
+from .symrep import (
+    ThetaSym,
+    _eig_by_magnitude,
+    dsigma,
+    sigma_of_theta,
+    theta_of_sigma,
+)
 from .matkit import vec
 
 __all__ = [
@@ -46,7 +58,6 @@ __all__ = [
     "asymptotic_cov_J",
     "SbmExperimentConfig",
     "sbm_experiment",
-    "balanced_assignment",
 ]
 
 # block probabilities entering score/Fisher must stay inside (EPS, 1-EPS)
@@ -112,22 +123,6 @@ class BlockCounts:
     npairs: np.ndarray = field(repr=False)
 
 
-def balanced_assignment(n, pi):
-    """Deterministic membership with class sizes proportional to pi.
-
-    Largest-remainder rounding; labels laid out in sorted blocks.
-    """
-    pi = np.asarray(pi, dtype=float)
-    K = pi.size
-    counts = np.floor(pi * n).astype(np.int64)
-    short = n - counts.sum()
-    if short > 0:
-        frac = pi * n - np.floor(pi * n)
-        for j in np.argsort(-frac, kind="stable")[:short]:
-            counts[j] += 1
-    return ClusterAssignment(np.repeat(np.arange(K), counts), K)
-
-
 # =====================================================================
 # sampling and clustering
 # =====================================================================
@@ -189,9 +184,7 @@ def _leading_eigvecs(A, r, seed):
     # one float copy per replicate: an int8 operator would re-cast per matvec
     Af = A.astype(float)
     if n <= DENSE_EIG_MAX or r >= n - 1:
-        lam, V = np.linalg.eigh(Af)
-        order = np.argsort(-np.abs(lam), kind="stable")
-        return V[:, order[:r]]
+        return _eig_by_magnitude(Af)[1][:, :r]
     v0 = substream(seed, 7).standard_normal(n)
     lam, V = scipy.sparse.linalg.eigsh(_symv_operator(Af), k=r, which="LM", v0=v0)
     order = np.argsort(-np.abs(lam), kind="stable")
@@ -249,9 +242,8 @@ def clip_probabilities(Sigma):
 
 
 def _rank_r_truncation(T, r):
-    lam, V = np.linalg.eigh(0.5 * (T + T.T))
-    order = np.argsort(-np.abs(lam), kind="stable")[:r]
-    return (V[:, order] * lam[order]) @ V[:, order].T
+    lam, V = _eig_by_magnitude(0.5 * (T + T.T))
+    return (V[:, :r] * lam[:r]) @ V[:, :r].T
 
 
 def project_to_manifold(Sigma_tilde, r):
@@ -335,18 +327,17 @@ def one_step(theta_tilde, counts):
     )
 
 
-def asymptotic_cov_J(theta, pi, Pi=None):
+def asymptotic_cov_J(theta, pi):
     """Limiting information matrix J of the one-step estimator.
 
-    J = sum_{s,t} q_s q_t x_st x_st^T / (2 S_st (1 - S_st)) with q = Pi pi
-    and x_st = DSigma^T vec(E_st); the errors n (theta_hat - theta_0) are
-    asymptotically N(0, J^{-1}).  Pi is an optional label permutation
-    (array form: q[s] = pi[Pi[s]]).
+    J = sum_{s,t} pi_s pi_t x_st x_st^T / (2 S_st (1 - S_st)) with
+    x_st = DSigma^T vec(E_st); the errors n (theta_hat - theta_0) are
+    asymptotically N(0, J^{-1}).  A caller with permuted labels passes the
+    permuted proportions.
     """
     S = _checked_probs(theta)
     pi = np.asarray(pi, dtype=float)
-    q = pi if Pi is None else pi[np.asarray(Pi, dtype=np.int64)]
-    W = np.outer(q, q) / (2.0 * S * (1.0 - S))
+    W = np.outer(pi, pi) / (2.0 * S * (1.0 - S))
     D = dsigma(theta)
     J = D.T @ (vec(W)[:, None] * D)
     return 0.5 * (J + J.T)

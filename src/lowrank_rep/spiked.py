@@ -456,28 +456,29 @@ def prior_log_density(theta, support, a_const, n):
 _GAMMA_CACHE = {}
 
 
-def gamma_mc(size, r, draws=GAMMA_DRAWS, seed=GAMMA_SEED):
+def gamma_mc(size, r):
     """Monte Carlo estimate of gamma(|S|), the mass the unrestricted
     Laplace law of vec(A_S) puts on the spectral unit ball.
 
     Per coordinate the Laplace density exp(-2|x|) integrates to one, so
     the restricted-Laplace normalizer equals the probability that a
     |S| x r matrix of iid Laplace(scale 1/2) entries has spectral norm
-    below 1.  Returns (estimate, standard error); cached per argument
-    tuple, and deterministic because the seed is fixed.
+    below 1, estimated from GAMMA_DRAWS matrices drawn from a stream of
+    GAMMA_SEED.  Returns (estimate, standard error); cached per (size, r),
+    and deterministic because the seed is fixed.
     """
     size = int(size)
     if size < 0:
         raise ConfigError(f"support size must be >= 0, got {size}")
     if size == 0:
         return 1.0, 0.0
-    key = (size, int(r), int(draws), int(seed))
+    key = (size, int(r))
     if key not in _GAMMA_CACHE:
-        gen = substream(seed, size, int(r))
-        A = gen.laplace(0.0, LAPLACE_SCALE, size=(int(draws), size, int(r)))
+        gen = substream(GAMMA_SEED, size, int(r))
+        A = gen.laplace(0.0, LAPLACE_SCALE, size=(GAMMA_DRAWS, size, int(r)))
         top = np.linalg.svd(A, compute_uv=False)[:, 0]
         est = float(np.mean(top < 1.0))
-        se = math.sqrt(est * (1.0 - est) / float(draws))
+        se = math.sqrt(est * (1.0 - est) / float(GAMMA_DRAWS))
         _GAMMA_CACHE[key] = (est, se)
     return _GAMMA_CACHE[key]
 
@@ -795,20 +796,17 @@ def sin_theta_tail_study(
     draws_per_dataset,
     datasets,
     base_seed,
-    a_const=1.0,
-    n_ref=None,
 ):
     """Pooled tail fractions of the limit posterior, one per sample size.
 
-    The ball radius is held fixed at the rate scale of n_ref (default:
-    the smallest sample size in the sweep).  Matching the radius to each
-    n would divide both it and the posterior spread by the same factor,
-    leaving the fraction constant; with the radius pinned, posterior
-    contraction is visible as mass leaving a fixed ball as n grows.
-    Dataset seeds are shared across sample sizes.
+    The ball radius is held fixed at the rate scale of the smallest
+    sample size in the sweep.  Matching the radius to each n would divide
+    both it and the posterior spread by the same factor, leaving the
+    fraction constant; with the radius pinned, posterior contraction is
+    visible as mass leaving a fixed ball as n grows.  Dataset seeds are
+    shared across sample sizes.
     """
-    if n_ref is None:
-        n_ref = min(n_values)
+    n_ref = min(n_values)
     U0 = cayley_map(model.theta0.phi).matrix
     s = max(len(model.support0), 1)
     fractions = []
@@ -818,7 +816,7 @@ def sin_theta_tail_study(
         for i in range(int(datasets)):
             seed = replicate_seed(base_seed, i)
             _, omega_hat = sample_gaussian(model.omega0, int(n), seed)
-            lp = limit_posterior(omega_hat, model_n, cap, a_const)
+            lp = limit_posterior(omega_hat, model_n, cap)
             draw_seed = int(substream(seed, 17).integers(2**63))
             all_draws.append(
                 sample_limit_posterior(lp, draws_per_dataset, draw_seed)

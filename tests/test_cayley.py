@@ -307,7 +307,7 @@ def test_jacobian_finite_difference():
         phi = random_phi(gen, p, r, max_norm=0.7)
         DU = cayley_jacobian(phi)
         fd = fd_jacobian(
-            lambda v: cayley_map(phi.copy_with(v)).matrix.reshape(-1, order="F"),
+            lambda v: cayley_map(Phi(p, r, v)).matrix.reshape(-1, order="F"),
             phi.values,
         )
         denom = max(np.linalg.norm(DU), 1e-12)
@@ -355,7 +355,7 @@ def test_taylor_certificates_random_pairs():
         step = gen.normal(size=(p - r) * r)
         step *= gen.uniform(0.0, 0.3) / max(np.linalg.norm(step), 1e-12)
         try:
-            phi = phi0.copy_with(phi0.values + step)
+            phi = Phi(p, r, phi0.values + step)
         except DomainViolation:
             continue
         lip, rem = taylor_certificate_U(phi, phi0)
@@ -370,7 +370,7 @@ def test_taylor_remainder_quadratic_scaling():
     direction /= np.linalg.norm(direction)
     rems = []
     for t in [1e-2, 5e-3, 2.5e-3]:
-        _, rem = taylor_certificate_U(phi0.copy_with(phi0.values + t * direction), phi0)
+        _, rem = taylor_certificate_U(Phi(6, 2, phi0.values + t * direction), phi0)
         rems.append(rem.observed)
     # halving the step should quarter the remainder, within 50% slack
     assert rems[1] < rems[0] / 4 * 1.5
@@ -390,7 +390,7 @@ def test_inverse_lipschitz_certificate():
 
 def test_certificate_slack_sign():
     phi0 = random_phi(rng(24), 5, 2, max_norm=0.4)
-    phi = phi0.copy_with(phi0.values * 0.9)
+    phi = Phi(5, 2, phi0.values * 0.9)
     lip, rem = taylor_certificate_U(phi, phi0)
     assert lip.slack >= 0.0
     assert rem.slack >= 0.0

@@ -482,6 +482,7 @@ def _bad_cases():
         ]
     cases += [(bic, {"p1": "2", "Sigma0": "2,4.5,0,1.5,-1,5", "w": "0.3,0.3"})]
     cases += [(bic, {"min_exact_recovery": v}) for v in NONFINITE]
+    cases += [(bic, {"noise": v}) for v in ("rademacher", "cauchy", "")]
     for kind in (sbm, bic):
         cases += [(kind, {"replicates": v}) for v in ("-1", "nan")]
         cases += [(kind, {"kmeans_restarts": v}) for v in ("0", "-1", "nan")]

@@ -169,6 +169,13 @@ def test_kmeans_too_few_points():
         kmeans(np.zeros((2, 2)), 3, seed=0)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_kmeans_rejects_no_restarts(restarts):
+    rows = rng(22).normal(size=(20, 2))
+    with pytest.raises(DimensionMismatch, match="restarts"):
+        kmeans(rows, 3, restarts=restarts, seed=0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kmeans_rejects_nonfinite_rows(bad):
     rows = rng(21).normal(size=(20, 2))

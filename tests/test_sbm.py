@@ -14,7 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowrank_rep import sbm
-from lowrank_rep.cluster import ClusterAssignment, align_labels, relabel
+from lowrank_rep.cluster import (
+    ClusterAssignment,
+    align_labels,
+    balanced_assignment,
+    relabel,
+)
 from lowrank_rep.errors import (
     DegenerateTopBlock,
     DimensionMismatch,
@@ -32,7 +37,6 @@ from lowrank_rep.sbm import (
     SbmExperimentConfig,
     SbmModel,
     asymptotic_cov_J,
-    balanced_assignment,
     block_counts,
     block_mean_estimator,
     clip_probabilities,
@@ -560,15 +564,6 @@ def test_one_step_matches_saturated_estimator_at_full_rank():
 # ---- limiting covariance ----
 
 
-def test_cov_J_permutation_argument():
-    theta = theta_of_sigma(SIGMA_R2, 2)
-    pi = np.array([0.5, 0.3, 0.2])
-    Pi = np.array([2, 0, 1])
-    direct = asymptotic_cov_J(theta, pi[Pi])
-    via_arg = asymptotic_cov_J(theta, pi, Pi)
-    assert np.allclose(via_arg, direct, atol=1e-14)
-
-
 def test_cov_J_matches_scaled_fisher():
     # (1/n^2) Fisher at n = 5000 with balanced classes approaches J
     theta = theta_of_sigma(SIGMA_R2, 2)
@@ -617,16 +612,19 @@ def test_experiment_zero_replicates():
     assert summary.replicates == 0
     assert summary.excluded == 0
     assert np.isnan(summary.mean_mse_main)
+    assert np.isnan(summary.exact_recovery)
 
 
 def test_experiment_smoke():
     config = SbmExperimentConfig(SIGMA_R2, r=2, n_values=(300,), replicates=5)
     (summary,) = sbm_experiment(config, base_seed=77)
-    assert summary.n == 300
+    assert summary.fields == {"n": 300}
     assert summary.replicates == 5
     assert len(summary.rows) == 5
     kept = [row for row in summary.rows if not row["excluded_flag"]]
     assert len(kept) == 5 - summary.excluded
+    exact = sum(row["aligned_hamming"] == 0 for row in summary.rows)
+    assert summary.exact_recovery == exact / 5
     for row in kept:
         assert row["z"].shape == (5,)
         assert row["aligned_hamming"] == 0

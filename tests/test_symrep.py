@@ -285,7 +285,7 @@ def test_subspace_close_pairs():
         step = gen.normal(size=(p - r) * r)
         step *= 1e-3 / np.linalg.norm(step)
         try:
-            phi = phi0.copy_with(phi0.values + step)
+            phi = Phi(p, r, phi0.values + step)
         except Exception:
             continue
         c1, c2, c3 = subspace_equivalence_certificates(phi, phi0)

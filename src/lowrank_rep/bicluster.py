@@ -23,7 +23,13 @@ from .cluster import (
     kmeans,
     relabel,
 )
-from .errors import DimensionMismatch, EmptyBlock, NotPositiveDefinite, SingularGram
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyBlock,
+    NotPositiveDefinite,
+    SingularGram,
+)
 from .gaussnewton import first_admissible
 from .matkit import vec
 from .mc import Study, StudySize, invsqrt_pd, run_study
@@ -268,6 +274,10 @@ class BiclusterExperimentConfig:
         )
         if self.sigma2 <= 0:
             raise DimensionMismatch("experiment needs sigma2 > 0")
+        if self.kmeans_restarts < 1:
+            raise ConfigError(
+                f"need kmeans_restarts >= 1, got {self.kmeans_restarts}"
+            )
 
     @property
     def p1(self):

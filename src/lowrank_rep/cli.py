@@ -391,8 +391,6 @@ def _study_counts(cfg):
     if replicates < 0:
         raise ConfigError(f"need replicates >= 0, got {replicates}")
     restarts = _get_int(cfg, "kmeans_restarts", 20)
-    if restarts < 1:
-        raise ConfigError(f"need kmeans_restarts >= 1, got {restarts}")
     return {"replicates": replicates, "kmeans_restarts": restarts}
 
 
@@ -597,8 +595,8 @@ def _run_spiked(cfg, seed_override, out_override):
         "spiked model",
     )
     # one synthetic dataset from the model itself drives the posterior
-    _, omega_hat = spiked.sample_gaussian(model.omega0, n, seed)
-    lp = spiked.limit_posterior(omega_hat, model, cap, a_const=a_const)
+    Y = spiked.sample_data(model.theta0, n, seed)
+    lp = spiked.limit_posterior(Y, model, cap, a_const=a_const)
 
     header = ["component", "support", "size", "weight"]
     header += [f"mean_{j + 1}" for j in range(model.d)]

@@ -24,6 +24,7 @@ from .cluster import (
 )
 from .errors import (
     AsymmetricInput,
+    ConfigError,
     DimensionMismatch,
     EmptyBlock,
     ProbabilityOutOfRange,
@@ -374,6 +375,10 @@ class SbmExperimentConfig:
         )
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
+        if self.kmeans_restarts < 1:
+            raise ConfigError(
+                f"need kmeans_restarts >= 1, got {self.kmeans_restarts}"
+            )
 
     @property
     def K(self):

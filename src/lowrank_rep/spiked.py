@@ -32,13 +32,12 @@ from .cayley import (
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    DomainViolation,
     EnumerationTooLarge,
     NotPositiveDefinite,
     SingularFisher,
     SupportViolation,
 )
-from .matkit import _sin_theta_spectral, duplication_matrix, kron, spectral_norm
+from .matkit import _sin_theta_spectral, duplication_matrix, kron
 from .rngs import generator, replicate_seed, substream
 from .symrep import ThetaSym, sigma_of_theta
 
@@ -71,8 +70,6 @@ class SpikedModel:
     theta0: ThetaSym
     n: int
     support0: tuple = field(default=())
-    # Omega0 = Sigma(theta0) + I, built and PD-checked once per model
-    omega0: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if int(self.n) < 1:
@@ -97,10 +94,6 @@ class SpikedModel:
             raise NotPositiveDefinite(
                 f"core M(mu0) has smallest eigenvalue {core_min:.3e} <= 0"
             )
-        # read-only: every caller shares this one array
-        omega0 = omega_of_theta(self.theta0)
-        omega0.flags.writeable = False
-        object.__setattr__(self, "omega0", omega0)
 
     @property
     def p(self):
@@ -252,21 +245,25 @@ def omega_of_theta(theta):
     return sigma_of_theta(theta) + np.eye(theta.p)
 
 
-def sample_gaussian(omega, n, seed):
-    """n iid centered Gaussian columns with covariance omega.
+def sample_data(theta, n, seed):
+    """p x n data: n iid centered Gaussian columns with covariance Omega(theta).
 
-    Returns (data, sample_cov) where sample_cov = data data^T / n without
-    mean centering.
+    Omega = U M U^T + I, and its Cholesky factor L, are the identity outside
+    the rows N where the frame U is nonzero, so L Z for the normals Z of
+    generator(seed) is Z except Y[N] = L[N, N] Z[N]: no p x p array.
     """
-    omega = np.asarray(omega, dtype=float)
     if int(n) < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
+    U = cayley_map(theta.phi).matrix
+    rows = np.flatnonzero(U.any(axis=1))
+    S = U[rows] @ theta.core @ U[rows].T
     try:
-        L = np.linalg.cholesky(omega)
+        L = np.linalg.cholesky(0.5 * (S + S.T) + np.eye(rows.size))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("covariance for sampling is not PD") from exc
-    Y = L @ generator(seed).standard_normal((omega.shape[0], int(n)))
-    return Y, Y @ Y.T / float(n)
+    Y = generator(seed).standard_normal((theta.p, int(n)))
+    Y[rows] = L @ Y[rows]
+    return Y
 
 
 def log_likelihood(omega, omega_hat, n):
@@ -301,17 +298,17 @@ def _block_layout(A):
     return active, cols, zero[:, None] + pmr * np.arange(r)
 
 
-def _information(theta, omega, omega_hat=None):
+def _information(theta, Y=None):
     # Per-sample Fisher (1/2) DSigma^T (K kron K) DSigma and score
-    # DSigma^T vec(K (omega_hat - omega) K) at theta, with K = omega^{-1}
-    # and omega = Sigma(theta) + I, without forming DSigma.  A phi direction
-    # moves Sigma by X_k Y^T + Y X_k^T, with X_k = dU_k and Y = U M, and a mu
-    # direction by U E_m U^T, with E_m = unvech(e_m).  With V = U^T K U,
-    # R_k = U^T K X_k and P_k = M R_k, every entry is a trace of r x r
-    # products:
+    # DSigma^T vec(K (omega_hat - omega) K) at theta, with K = omega^{-1},
+    # omega = Sigma(theta) + I and omega_hat = Y Y^T / n for the p x n data
+    # Y, without forming DSigma.  A phi direction moves Sigma by X_k Q^T +
+    # Q X_k^T, with X_k = dU_k and Q = U M, and a mu direction by U E_m U^T,
+    # with E_m = unvech(e_m).  With V = U^T K U, R_k = U^T K X_k and
+    # P_k = M R_k, every entry is a trace of r x r products:
     #   F_kl = tr(P_k P_l) + tr(M V M X_k^T K X_l),
     #   F_km = <R_k M V, E_m>,   F_mn = (1/2) tr(V E_m V E_n),
-    # and the score is 2 <C Y, X_k> for phi and <U^T C U, E_m> for mu, with
+    # and the score is 2 <C Q, X_k> for phi and <U^T C U, E_m> for mu, with
     # C = K (omega_hat - omega) K.  K enters only through Woodbury,
     # K = I - U W U^T with W = M (I + M)^{-1}, so V = (I + M)^{-1} and
     # K U = U V.
@@ -323,10 +320,9 @@ def _information(theta, omega, omega_hat=None):
     # 4 (C U M)[r+a] G.  The dense Fisher is therefore blockdiag(F_J, I kron
     # B) up to the order of coordinates, where J holds the phi coordinates
     # of the active rows and then mu, laid out as _block_layout gives them.
-    # With a fixed number of active rows this costs O(p r^2), plus O(p^2 r)
-    # for the score.  Returns (F_J, B, score); score is None when omega_hat
-    # is None.  F_J, and B when some row is zero, must pass the eigvalsh PD
-    # gate.
+    # With a fixed number of active rows this costs O(p r^2), plus O(p n r)
+    # for the score.  Returns (F_J, B, score); score is None when Y is None.
+    # F_J, and B when some row is zero, must pass the eigvalsh PD gate.
     p, r = theta.p, theta.r
     A = theta.phi.A
     Z = _frame_factor(A)
@@ -361,14 +357,15 @@ def _information(theta, omega, omega_hat=None):
         raise NotPositiveDefinite(
             f"Fisher information smallest eigenvalue {lam_min:.3e} <= 0"
         )
-    if omega_hat is None:
+    if Y is None:
         return F_J, B, None
-    # (omega_hat - omega) K U as a difference of products: no p x p
-    # temporary, and exactly zero at omega_hat = omega
-    DKU = np.asarray(omega_hat, dtype=float) @ KU - omega @ KU
-    CY = (DKU - U @ (W @ (U.T @ DKU))) @ M
-    score_A = 4.0 * CY[r:] @ G.T
-    score_J = 2.0 * CY.T.reshape(r * p) @ X.reshape(r * p, n_J)
+    # omega K U = U, and K U = U V is zero outside the rows N where U is,
+    # so omega_hat K U = Y (Y[N]^T (K U)[N]) / n: no p x p temporary
+    rows = np.flatnonzero(U.any(axis=1))
+    DKU = Y @ (Y[rows].T @ KU[rows]) / Y.shape[1] - U
+    CQ = (DKU - U @ (W @ (U.T @ DKU))) @ M
+    score_A = 4.0 * CQ[r:] @ G.T
+    score_J = 2.0 * CQ.T.reshape(r * p) @ X.reshape(r * p, n_J)
     score_A[active] = score_J.reshape(r, -1).T
     score_mu = dup.T @ (KU.T @ DKU).ravel(order="F")
     return F_J, B, np.concatenate([score_A.ravel(order="F"), score_mu])
@@ -382,7 +379,9 @@ def fisher_spiked(theta0):
     from its blocks: F_J for the active rows of A and mu, and the r x r
     block B at every exactly zero row.
     """
-    F_J, B, _ = _information(theta0, omega_of_theta(theta0))
+    if _omega_min_eig(theta0) <= 0.0:
+        raise NotPositiveDefinite("Sigma(theta) + I is not positive definite")
+    F_J, B, _ = _information(theta0)
     _, cols, zc = _block_layout(theta0.phi.A)
     F = np.zeros((theta0.d, theta0.d))
     F[np.ix_(cols, cols)] = F_J
@@ -404,53 +403,6 @@ def _log_size_prior(p, r, a_const, n):
     log_q = -r * math.log(n) - a_const * math.log(pmr)
     z = math.expm1((pmr + 1) * log_q) / math.expm1(log_q) if log_q else pmr + 1
     return np.arange(pmr + 1) * log_q - math.log(z)
-
-
-def _log_pi_p(t, p, r, a_const, n):
-    # log prior of support size t; see _log_size_prior
-    pmr = p - r
-    if not (0 <= t <= pmr):
-        raise ConfigError(f"support size {t} outside 0..{pmr}")
-    return float(_log_size_prior(p, r, a_const, n)[t])
-
-
-def prior_log_density(theta, support, a_const, n):
-    """Log prior density of theta given its support, up to the gamma(|S|)
-    normalizer of the restricted Laplace factor and the core indicator
-    normalizer.
-
-    Sum of the support-size prior (uniform over subsets of each size),
-    the Laplace factor exp(-2 ||vec(A_S)||_1) restricted to the spectral
-    unit ball, and the Laplace factor exp(-2 ||mu||_1) restricted to PD
-    cores.
-    """
-    if a_const <= 0.0:
-        raise ConfigError(f"prior exponent a_const must be > 0, got {a_const}")
-    if not isinstance(support, SupportSet):
-        support = SupportSet(theta.p, theta.r, tuple(support))
-    if (support.p, support.r) != (theta.p, theta.r):
-        raise DimensionMismatch("support and theta live on different (p, r)")
-    A = theta.phi.A
-    outside = [i for i in range(theta.p - theta.r) if i not in support.indices]
-    if outside and np.any(A[outside] != 0.0):
-        raise SupportViolation(
-            f"rows outside S={support.indices} are not exactly zero"
-        )
-    A_S = A[list(support.indices)]
-    if A_S.size and spectral_norm(A_S) >= 1.0:
-        raise DomainViolation("||A_S||_2 must be < 1")
-    core_min = float(np.linalg.eigvalsh(theta.core).min())
-    if core_min <= 0.0:
-        raise DomainViolation(
-            f"core M(mu) has smallest eigenvalue {core_min:.3e} <= 0"
-        )
-    s = support.size
-    return (
-        _log_pi_p(s, theta.p, theta.r, a_const, n)
-        - math.log(math.comb(theta.p - theta.r, s))
-        - 2.0 * float(np.abs(A_S).sum())
-        - 2.0 * float(np.abs(theta.mu).sum())
-    )
 
 
 _GAMMA_CACHE = {}
@@ -481,21 +433,6 @@ def gamma_mc(size, r):
         se = math.sqrt(est * (1.0 - est) / float(GAMMA_DRAWS))
         _GAMMA_CACHE[key] = (est, se)
     return _GAMMA_CACHE[key]
-
-
-def gamma_bounds(size, r):
-    """Analytic bracket for gamma(|S|):
-
-    exp{-(1/2) r|S| log(r|S|) - (2 - log 2) r|S|} <= gamma(|S|) <= 1.
-    """
-    size = int(size)
-    if size < 0:
-        raise ConfigError(f"support size must be >= 0, got {size}")
-    if size == 0:
-        return 1.0, 1.0
-    rs = float(int(r) * size)
-    lower = math.exp(-0.5 * rs * math.log(rs) - (2.0 - math.log(2.0)) * rs)
-    return lower, 1.0
 
 
 # =====================================================================
@@ -633,25 +570,26 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
     return log_w, means, covs
 
 
-def limit_posterior(omega_hat, model, cap, a_const=1.0):
-    """Limiting posterior over (support, chart coordinates).
+def limit_posterior(Y, model, cap, a_const=1.0):
+    """Limiting posterior over (support, chart coordinates) given data Y.
 
     Enumerates every support containing support0 with size at most cap.
     A component's information is the full-sample quantity
     I_S = n F_S^T I_per F_S, its mean is theta0_S plus I_S^{-1} times the
     selected half of the full-sample score (n/2) DSigma^T
-    vec(Om0^{-1}(Omega_hat - Om0) Om0^{-1}), and its log weight combines
-    the support prior, the gamma normalizer, and the Gaussian evidence
-    (1/2)(d_S log 2pi - logdet I_S) + (1/2) mean^T I_S mean.
+    vec(Om0^{-1}(Omega_hat - Om0) Om0^{-1}), Omega_hat = Y Y^T / n for the
+    p x n data Y, and its log weight combines the support prior, the gamma
+    normalizer, and the evidence (1/2)(d_S log 2pi - logdet I_S) + (1/2)
+    mean^T I_S mean.
     """
     if a_const <= 0.0:
         raise ConfigError(f"prior exponent a_const must be > 0, got {a_const}")
-    omega_hat = np.asarray(omega_hat, dtype=float)
-    if omega_hat.shape != (model.p, model.p):
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != model.p or Y.shape[1] < 1:
         raise DimensionMismatch(
-            f"omega_hat shape {omega_hat.shape} != ({model.p}, {model.p})"
+            f"data shape {Y.shape} needs {model.p} rows and a column"
         )
-    F_J, B, score = _information(model.theta0, model.omega0, omega_hat)
+    F_J, B, score = _information(model.theta0, Y)
     supports = _enumerate_supports(model, cap)
     log_w, means, covs = _mixture(
         model,
@@ -714,23 +652,25 @@ def sample_limit_posterior(lp, draws, seed):
 # =====================================================================
 
 
-def lan_remainder(theta, theta0, omega_hat, n):
+def lan_remainder(theta, theta0, Y):
     """Remainder of the quadratic log-likelihood expansion around theta0.
 
     R_n = [l(Omega(theta)) - l(Omega0)]
           - (n/2) vec(Omega_hat - Om0)^T (Om0^{-1} x Om0^{-1}) DSigma0 delta
           + (n/2) delta^T I_per delta,
-    with delta = theta - theta0.  Exactly zero at theta = theta0, and
-    invariant under adding a constant to the log-likelihood because only
-    the difference of two evaluations enters.
+    with delta = theta - theta0 and Omega_hat = Y Y^T / n, dense, for the
+    p x n data Y.  Exactly zero at theta = theta0, and invariant under
+    adding a constant to the log-likelihood because only the difference of
+    two evaluations enters.
     """
     if (theta.p, theta.r) != (theta0.p, theta0.r):
         raise DimensionMismatch("chart points live on different (p, r)")
-    Om0 = omega_of_theta(theta0)
+    n = Y.shape[1]
+    omega_hat = Y @ Y.T / n
     diff = log_likelihood(omega_of_theta(theta), omega_hat, n) - log_likelihood(
-        Om0, omega_hat, n
+        omega_of_theta(theta0), omega_hat, n
     )
-    F_J, B, g = _information(theta0, Om0, omega_hat)
+    F_J, B, g = _information(theta0, Y)
     delta = theta.as_vector() - theta0.as_vector()
     # delta^T I_per delta from the blocks: the active coordinates against
     # F_J, each zero row's r coordinates against B
@@ -771,7 +711,6 @@ def lan_remainder_study(theta0, n_values, replicates, base_seed):
     numbers).
     """
     v0 = theta0.as_vector()
-    Om0 = omega_of_theta(theta0)
     medians = []
     for n in n_values:
         vals = []
@@ -782,8 +721,8 @@ def lan_remainder_study(theta0, n_values, replicates, base_seed):
             theta = ThetaSym.from_vector(
                 theta0.p, theta0.r, v0 + u / math.sqrt(n)
             )
-            _, omega_hat = sample_gaussian(Om0, n, seed)
-            vals.append(abs(lan_remainder(theta, theta0, omega_hat, n)))
+            Y = sample_data(theta0, n, seed)
+            vals.append(abs(lan_remainder(theta, theta0, Y)))
         medians.append(float(np.median(vals)))
     return medians
 
@@ -815,8 +754,8 @@ def sin_theta_tail_study(
         all_draws = []
         for i in range(int(datasets)):
             seed = replicate_seed(base_seed, i)
-            _, omega_hat = sample_gaussian(model.omega0, int(n), seed)
-            lp = limit_posterior(omega_hat, model_n, cap)
+            Y = sample_data(model.theta0, n, seed)
+            lp = limit_posterior(Y, model_n, cap)
             draw_seed = int(substream(seed, 17).integers(2**63))
             all_draws.append(
                 sample_limit_posterior(lp, draws_per_dataset, draw_seed)

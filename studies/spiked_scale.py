@@ -3,17 +3,18 @@
     python3 studies/spiked_scale.py                 # writes BENCH_spiked_scale.json
     python3 studies/spiked_scale.py --out scale.json
 
-Times a warm `limit_posterior` at the spiked-p48 benchmark truth grown to
-dimension p (r=2, n=400, rows 1 and 4 of A0 active, cap=3, so p - 3
-components) for p = 256, 512, 1024, 2048 and 4096, and records its
-tracemalloc peak.  The block `_information` is timed next to the dense d x d
-oracle of tests/helpers.py, the "before"; the oracle runs only at p <= 1024,
-because its time grows as p^3 and its memory as p^2, and only where the
-test dependencies that tests/helpers.py imports (hypothesis) are installed.
-At p <= 2048 a fresh process also runs the same truth end to end through
-`lowrank_rep.cli.run` (spiked-limit-posterior, seed 0): one untimed job to
-load the imports and the gamma cache, then the median of three timed jobs;
-its ru_maxrss is the process's peak resident memory.
+Times the data draw `sample_data` and a warm `limit_posterior` at the
+spiked-p48 benchmark truth grown to dimension p (r=2, n=400, rows 1 and 4
+of A0 active, cap=3, so p - 3 components) for p = 256, 512, 1024, 2048 and
+4096, and records the posterior's tracemalloc peak.  The block
+`_information` is timed next to the dense d x d oracle of tests/helpers.py,
+the "before"; the oracle runs only at p <= 1024, because its time grows as
+p^3 and its memory as p^2, and only where the test dependencies that
+tests/helpers.py imports (hypothesis) are installed.  At every p a fresh
+process also runs the same truth end to end through `lowrank_rep.cli.run`
+(spiked-limit-posterior, seed 0): one untimed job to load the imports and
+the gamma cache, then the median of three timed jobs; its ru_maxrss is the
+process's peak resident memory.
 
 Each BLAS thread setting (1, and the library default) runs in a fresh
 process, since OpenBLAS fixes its thread count when it loads.  The output
@@ -39,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 P_VALUES = (256, 512, 1024, 2048, 4096)
 DENSE_P_MAX = 1024
-CLI_P_MAX = 2048
+CLI_P_MAX = 4096
 CLI_REPEATS = 3
 CAP = 3
 REPEATS = 5
@@ -119,7 +120,12 @@ def _fresh_cli_job(p, env):
 
 def measure():
     """One row per p of P_VALUES, in this process."""
-    from lowrank_rep.spiked import _information, limit_posterior, sample_gaussian
+    from lowrank_rep.spiked import (
+        _information,
+        limit_posterior,
+        omega_of_theta,
+        sample_data,
+    )
 
     try:
         from helpers import dense_information
@@ -130,20 +136,21 @@ def measure():
     rows = []
     for p in P_VALUES:
         model = workload_model(p)
-        _, omega_hat = sample_gaussian(model.omega0, model.n, 0)
-        theta, omega = model.theta0, model.omega0
-        posterior = lambda: limit_posterior(omega_hat, model, CAP)  # noqa: E731
+        theta = model.theta0
+        draw = lambda: sample_data(theta, model.n, 0)  # noqa: E731
+        Y = draw()
+        posterior = lambda: limit_posterior(Y, model, CAP)  # noqa: E731
         repeats = REPEATS if p <= DENSE_P_MAX else 3
         row = {
             "p": p,
             "components": len(posterior().components),
+            "sample_data_s": _timed(draw, repeats),
             "limit_posterior_s": _timed(posterior, repeats),
             "limit_posterior_peak_mib": _peak_mib(posterior),
-            "information_s": _timed(
-                lambda: _information(theta, omega, omega_hat), repeats
-            ),
+            "information_s": _timed(lambda: _information(theta, Y), repeats),
         }
         if dense_information is not None and p <= DENSE_P_MAX:
+            omega, omega_hat = omega_of_theta(theta), Y @ Y.T / model.n
             dense = lambda: dense_information(theta, omega, omega_hat)  # noqa: E731
             row["dense_information_s"] = _timed(dense, 3)
             row["dense_information_peak_mib"] = _peak_mib(dense)
@@ -189,6 +196,7 @@ def main(argv=None):
             dense = row.get("dense_information_s", math.nan)
             print(
                 f"threads={threads} p={row['p']} components={row['components']} "
+                f"sample_data={row['sample_data_s']:.4f}s "
                 f"limit_posterior={row['limit_posterior_s']:.4f}s "
                 f"peak={row['limit_posterior_peak_mib']:.1f}MiB "
                 f"information={row['information_s']:.4f}s dense={dense:.4f}s "

@@ -4,9 +4,11 @@ Finite differences here are the independent check on every hand-derived
 Jacobian: plain central differences, no reuse of package derivative code.
 The dense (I - X) solve is the oracle for the closed-form frame, the dense
 Kronecker/Gamma Jacobian the oracle for the structured one, the dense d x d
-Fisher and a per-support loop the oracle for the block limit posterior, a
-per-restart loop the oracle for the stacked k-means, and float uniforms and
-Generator.normal the oracles for the samplers that avoid them.
+Fisher and a per-support loop the oracle for the block limit posterior, the
+dense Cholesky draw the oracle for the row-sparse spiked draw, a per-restart
+loop the oracle for the stacked k-means, float uniforms and Generator.normal
+the oracles for the samplers that avoid them, and an analytic bracket the
+oracle for the Monte Carlo Laplace ball mass.
 """
 
 import math
@@ -155,10 +157,37 @@ def dense_information(theta, omega, omega_hat=None):
     return F, np.concatenate([score_phi, score_mu])
 
 
-def loop_limit_posterior(omega_hat, model, cap, a_const=1.0):
+def sample_gaussian(omega, n, seed):
+    """Oracle for spiked.sample_data: n iid centered Gaussian columns with
+    covariance omega, drawn through the dense Cholesky factor of omega.
+
+    Returns (data, sample_cov) where sample_cov = data data^T / n without
+    mean centering.
+    """
+    L = np.linalg.cholesky(omega)
+    Y = L @ generator(seed).standard_normal((omega.shape[0], int(n)))
+    return Y, Y @ Y.T / float(n)
+
+
+def gamma_bounds(size, r):
+    """Analytic bracket for the Laplace ball mass gamma(|S|) of
+    spiked.gamma_mc:
+
+    exp{-(1/2) r|S| log(r|S|) - (2 - log 2) r|S|} <= gamma(|S|) <= 1.
+    """
+    size = int(size)
+    if size == 0:
+        return 1.0, 1.0
+    rs = float(int(r) * size)
+    lower = math.exp(-0.5 * rs * math.log(rs) - (2.0 - math.log(2.0)) * rs)
+    return lower, 1.0
+
+
+def loop_limit_posterior(Y, model, cap, a_const=1.0):
     """Oracle for spiked.limit_posterior: the dense information of
-    dense_information, then one support at a time, with its own submatrix,
-    Cholesky, solve, matvecs, gamma_mc call and Python-float log weight."""
+    dense_information at the dense sample covariance Y Y^T / n, then one
+    support at a time, with its own submatrix, Cholesky, solve, matvecs,
+    gamma_mc call and Python-float log weight."""
     from lowrank_rep.spiked import (
         LimitPosterior,
         PosteriorComponent,
@@ -171,6 +200,7 @@ def loop_limit_posterior(omega_hat, model, cap, a_const=1.0):
     theta0 = model.theta0
     n = model.n
     v0 = theta0.as_vector()
+    omega_hat = Y @ Y.T / Y.shape[1]
     I_per, score = dense_information(theta0, omega_of_theta(theta0), omega_hat)
     half_score = 0.5 * n * score
     log_size_prior = _log_size_prior(model.p, model.r, a_const, n)

@@ -39,7 +39,7 @@ from lowrank_rep.spiked import (
     fisher_spiked,
     lan_remainder_study,
     limit_posterior,
-    sample_gaussian,
+    sample_data,
     sin_theta_tail_study,
 )
 from lowrank_rep.symrep import ThetaSym, dsigma, sigma_of_theta, theta_of_sigma
@@ -263,8 +263,7 @@ def test_criterion_8_spiked_covariance_surrogates():
         A[5, 0] = -gen.uniform(0.2, 0.5)
         theta = ThetaSym(Phi(8, 1, A.ravel(order="F")), [gen.uniform(1.0, 3.0)])
         model = SpikedModel(theta, 300, (2, 5))
-        _, omega_hat = sample_gaussian(model.omega0, 300, 40 + seed)
-        lp = limit_posterior(omega_hat, model, cap=3)
+        lp = limit_posterior(sample_data(model.theta0, 300, 40 + seed), model, cap=3)
         worst_norm = max(
             worst_norm, abs(sum(c.weight for c in lp.components) - 1.0)
         )

@@ -29,7 +29,7 @@ from lowrank_rep.cluster import (
     balanced_assignment,
     relabel,
 )
-from lowrank_rep.errors import DimensionMismatch, EmptyBlock, ProjectionFailed
+from lowrank_rep.errors import ConfigError, DimensionMismatch, EmptyBlock, ProjectionFailed
 from lowrank_rep.matkit import vec
 from lowrank_rep.mc import invsqrt_pd
 from lowrank_rep.rectrep import (
@@ -308,13 +308,21 @@ def test_cov_G_uniform_closed_form():
 
 
 def test_cov_G_psd_and_permutation_spectrum():
-    theta = theta_of_sigma_rect(SIGMA_B, 2)
-    uni = np.full(3, 1 / 3)
-    G = asymptotic_cov_G(theta, uni, uni, 1.0)
+    # Relabelling the row classes (the rows of Sigma0 and the entries of w
+    # together, theta recomputed) permutes the entries of M and leaves phi,
+    # so G is conjugated by a permutation and keeps its spectrum.  A
+    # permutation of w alone at fixed theta, or a column relabelling, which
+    # moves phi, is no such conjugation: here they move the spectrum by up
+    # to 29% and 40% of the largest eigenvalue, so neither is asserted.
+    w = np.array([0.5, 0.3, 0.2])
+    pi = np.array([0.25, 0.35, 0.4])
+    G = asymptotic_cov_G(theta_of_sigma_rect(SIGMA_B, 2), w, pi, 1.0)
     lam = np.linalg.eigvalsh(G)
     assert lam[0] >= -1e-10 * lam[-1]
-    G_perm = asymptotic_cov_G(theta, uni[[2, 0, 1]], uni[[1, 2, 0]], 1.0)
-    assert np.allclose(np.linalg.eigvalsh(G_perm), lam, atol=1e-12)
+    for perm in ([2, 0, 1], [1, 2, 0], [1, 0, 2], [0, 2, 1]):
+        theta = theta_of_sigma_rect(SIGMA_B[perm], 2)
+        lam_perm = np.linalg.eigvalsh(asymptotic_cov_G(theta, w[perm], pi, 1.0))
+        assert np.max(np.abs(lam_perm - lam)) <= 1e-12 * lam[-1]
 
 
 def test_cov_G_matches_monte_carlo():
@@ -352,6 +360,16 @@ def test_experiment_zero_replicates():
     assert summary.excluded == 0
     assert np.isnan(summary.mean_mse_main)
     assert np.isnan(summary.exact_recovery)
+
+
+def test_experiment_rejects_no_kmeans_restarts():
+    # zero restarts would fail every replicate's k-means; the config
+    # refuses the value before any replicate runs
+    for restarts in (0, -1):
+        with pytest.raises(ConfigError, match="kmeans_restarts"):
+            BiclusterExperimentConfig(
+                SIGMA_B, r=2, sizes=((100, 100),), kmeans_restarts=restarts
+            )
 
 
 def test_experiment_smoke():

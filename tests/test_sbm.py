@@ -21,6 +21,7 @@ from lowrank_rep.cluster import (
     relabel,
 )
 from lowrank_rep.errors import (
+    ConfigError,
     DegenerateTopBlock,
     DimensionMismatch,
     EmptyBlock,
@@ -613,6 +614,16 @@ def test_experiment_zero_replicates():
     assert summary.excluded == 0
     assert np.isnan(summary.mean_mse_main)
     assert np.isnan(summary.exact_recovery)
+
+
+def test_experiment_rejects_no_kmeans_restarts():
+    # zero restarts would fail every replicate's k-means; the config
+    # refuses the value before any replicate runs
+    for restarts in (0, -1):
+        with pytest.raises(ConfigError, match="kmeans_restarts"):
+            SbmExperimentConfig(
+                SIGMA_R2, r=2, n_values=(200,), kmeans_restarts=restarts
+            )
 
 
 def test_experiment_smoke():

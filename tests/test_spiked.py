@@ -5,7 +5,8 @@ differences for the score and Hessian, the direct Kronecker assembly of
 the Fisher matrix, the least-squares (projection) characterization of
 the component means, binomial/CLT bands for the Monte Carlo pieces, and
 the analytic bracket plus closed form for the Laplace ball mass at a
-single entry, and the per-support loop of helpers.py for the stacked limit
+single entry, the dense Cholesky draw of helpers.py for the row-sparse data
+draw, and the per-support loop of helpers.py for the stacked limit
 posterior.
 """
 
@@ -24,7 +25,6 @@ from lowrank_rep.cayley import Phi, cayley_map
 from lowrank_rep.errors import (
     ConfigError,
     DimensionMismatch,
-    DomainViolation,
     EnumerationTooLarge,
     NotPositiveDefinite,
     SingularFisher,
@@ -45,19 +45,16 @@ from lowrank_rep.spiked import (
     _enumerate_supports,
     _frame_of_rows,
     _information,
-    _log_pi_p,
     _log_size_prior,
     _omega_min_eig,
     fisher_spiked,
-    gamma_bounds,
     gamma_mc,
     lan_remainder,
     lan_remainder_study,
     limit_posterior,
     log_likelihood,
     omega_of_theta,
-    prior_log_density,
-    sample_gaussian,
+    sample_data,
     sample_limit_posterior,
     sin_theta_tail,
     sin_theta_tail_study,
@@ -71,11 +68,13 @@ from helpers import (
     dense_information,
     edge_point,
     fd_jacobian,
+    gamma_bounds,
     loop_limit_posterior,
     loop_sample_limit_posterior,
     random_core_sym,
     random_theta_sym,
     rng,
+    sample_gaussian,
 )
 
 
@@ -95,6 +94,13 @@ def sparse_r1_model(seed, n=300):
     A[5, 0] = -gen.uniform(0.2, 0.5)
     theta = ThetaSym(Phi(8, 1, A.ravel(order="F")), [gen.uniform(1.0, 3.0)])
     return SpikedModel(theta, n, (2, 5))
+
+
+def data_with_sample_cov(omega, n):
+    # p x n data whose sample covariance Y Y^T / n is omega up to roundoff,
+    # for n a multiple of p: the scaled Cholesky factor, repeated
+    p = omega.shape[0]
+    return np.tile(math.sqrt(p) * np.linalg.cholesky(omega), n // p)
 
 
 # ---- model and support types ----
@@ -126,38 +132,16 @@ def test_model_rejects_bad_sample_count():
         SpikedModel(canonical_theta(), 0, (1, 4))
 
 
-def test_model_builds_omega0_once(monkeypatch):
-    calls = []
-
-    def counted(theta):
-        calls.append(theta)
-        return omega_of_theta(theta)
-
-    monkeypatch.setattr(spiked, "omega_of_theta", counted)
-    theta = canonical_theta()
-    model = SpikedModel(theta, 400, (1, 4))
-    assert model.omega0 is model.omega0
-    assert np.array_equal(
-        model.omega0.view(np.int64), omega_of_theta(theta).view(np.int64)
-    )
-    # every caller shares the array, so no caller may write to it
-    with pytest.raises(ValueError):
-        model.omega0[0, 0] += 1.0
-    limit_posterior(sample_gaussian(model.omega0, 400, 3)[1], model, cap=3)
-    assert len(calls) == 1
-    # omega0 is derived state: equality, hashing and repr see the same
-    # fields as before it was stored
-    assert [f.name for f in fields(SpikedModel) if f.compare] == [
-        "theta0",
-        "n",
-        "support0",
-    ]
+def test_model_holds_only_its_inputs():
+    # no derived p x p covariance: the model's fields are its inputs, and
+    # equality, hashing and repr see exactly these
+    assert [f.name for f in fields(SpikedModel)] == ["theta0", "n", "support0"]
     hashed = [f for f in fields(SpikedModel) if (f.compare if f.hash is None else f.hash)]
     assert [f.name for f in hashed] == ["theta0", "n", "support0"]
+    theta = canonical_theta()
+    model = SpikedModel(theta, 400, (1, 4))
     assert SpikedModel(theta, 400, (4, 1)) == model
     assert replace(model, n=401) != model
-    assert "omega0" not in repr(model)
-    assert replace(model, n=401).omega0 is not model.omega0
 
 
 def test_selector_picks_support_rows_then_core():
@@ -205,6 +189,10 @@ def test_omega_rejects_indefinite():
     theta = ThetaSym(Phi(2, 1, [0.0]), [-2.0])
     with pytest.raises(NotPositiveDefinite):
         omega_of_theta(theta)
+    # fisher_spiked keeps the same gate; at p = r with M < -I its blocks
+    # alone would pass, since V = (I + M)^{-1} < 0 gives V kron V > 0
+    with pytest.raises(NotPositiveDefinite):
+        fisher_spiked(ThetaSym(Phi(1, 1, np.zeros(0)), [-2.0]))
 
 
 @given(chart_points(p_max=12), st.floats(0.5, 3.0))
@@ -228,28 +216,68 @@ def test_omega_gate_matches_dense_eigenvalues(point, max_mag):
 
 def test_sample_cov_concentrates():
     # operator-norm deviation for Omega = I stays within 4 sqrt(p/n)
-    _, omega_hat = sample_gaussian(np.eye(4), 4000, 31)
+    theta = ThetaSym(Phi(4, 1, np.zeros(3)), [0.0])
+    Y = sample_data(theta, 4000, 31)
+    omega_hat = Y @ Y.T / 4000
     assert np.linalg.norm(omega_hat - np.eye(4), 2) < 4.0 * math.sqrt(4 / 4000)
 
 
 def test_sample_single_draw_is_rank_one():
-    Y, omega_hat = sample_gaussian(np.eye(5), 1, 4)
-    assert np.array_equal(omega_hat, np.outer(Y[:, 0], Y[:, 0]) / 1.0)
-    lam = np.sort(np.abs(np.linalg.eigvalsh(omega_hat)))
+    Y = sample_data(canonical_theta(), 1, 4)
+    assert Y.shape == (8, 1)
+    lam = np.sort(np.abs(np.linalg.eigvalsh(Y @ Y.T)))
     assert lam[-2] < 1e-12 * lam[-1]
 
 
 def test_sample_deterministic_per_seed():
-    Y1, O1 = sample_gaussian(np.eye(3), 40, 9)
-    Y2, O2 = sample_gaussian(np.eye(3), 40, 9)
-    Y3, _ = sample_gaussian(np.eye(3), 40, 10)
-    assert np.array_equal(Y1, Y2) and np.array_equal(O1, O2)
+    Y1 = sample_data(canonical_theta(), 40, 9)
+    Y2 = sample_data(canonical_theta(), 40, 9)
+    Y3 = sample_data(canonical_theta(), 40, 10)
+    assert np.array_equal(Y1, Y2)
     assert not np.array_equal(Y1, Y3)
 
 
 def test_sample_rejects_indefinite_covariance():
+    # Omega = diag(-1, 1): the core -2 sits on the first row
     with pytest.raises(NotPositiveDefinite):
-        sample_gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, 0)
+        sample_data(ThetaSym(Phi(2, 1, [0.0]), [-2.0]), 5, 0)
+    with pytest.raises(ConfigError):
+        sample_data(canonical_theta(), 0, 0)
+
+
+@st.composite
+def row_sparse_thetas(draw):
+    """A chart point with r in 1..3, p <= 64, a random set of active rows of
+    A and a core whose Sigma + I is PD (a PD core, or magnitudes below 1)."""
+    r = draw(st.integers(1, 3))
+    p = draw(st.integers(r + 1, 64))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    active = draw(st.lists(st.integers(0, p - r - 1), max_size=6, unique=True))
+    A = np.zeros((p - r, r))
+    if active:
+        A[active] = gen.normal(size=(len(active), r))
+        A *= draw(st.floats(0.05, 0.99)) / np.linalg.norm(A, 2)
+    pd = draw(st.booleans())
+    core = random_core_sym(gen, r, pd=pd, max_mag=3.0 if pd else 0.9)
+    return ThetaSym(Phi(p, r, A.ravel(order="F")), vech(core))
+
+
+@given(row_sparse_thetas(), st.integers(1, 300), st.integers(0, 2**63 - 1))
+@example(canonical_theta(), 400, 0)
+@example(ThetaSym(Phi(4, 3, [0.5, -0.2, 0.1]), vech(np.diag([2.0, 1.0, 0.5]))), 3, 7)
+@settings(max_examples=100, deadline=None)
+def test_sample_data_matches_dense_cholesky_draw(theta, n, seed):
+    # the row-sparse draw reads the same normals as the dense L Z.  Outside
+    # the rows N (the top r, and r + a for each active row a) both are
+    # those normals, bit for bit; inside, the |N| x |N| Cholesky factor and
+    # product may sum in another order than the dense ones (seen up to
+    # 2.7e-16 of the largest entry)
+    got = sample_data(theta, n, seed)
+    want, _ = sample_gaussian(omega_of_theta(theta), n, seed)
+    r = theta.r
+    rows = np.r_[0:r, r + np.flatnonzero(theta.phi.A.any(axis=1))]
+    assert np.array_equal(np.delete(got, rows, axis=0), np.delete(want, rows, axis=0))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---- likelihood ----
@@ -314,8 +342,10 @@ def test_fisher_singular_at_zero_core_for_tall_frames():
     # with p > r a zero core freezes Sigma in the phi directions, so the
     # information degenerates and the PD gate refuses it
     theta = ThetaSym(Phi(6, 2, 0.25 * np.ones(8) / 3.0), np.zeros(3))
+    # fisher_spiked keeps the same gate; at p = r with M < -I its blocks
+    # alone would pass, since V = (I + M)^{-1} < 0 gives V kron V > 0
     with pytest.raises(NotPositiveDefinite):
-        fisher_spiked(theta)
+        fisher_spiked(ThetaSym(Phi(1, 1, np.zeros(0)), [-2.0]))
 
 
 @given(chart_points())
@@ -350,11 +380,6 @@ def _dense_score(theta, omega_hat):
     return dsigma(theta).T @ (K @ (omega_hat - omega) @ K).ravel(order="F")
 
 
-def _random_sample_cov(gen, p):
-    B = gen.normal(size=(p, 2 * p))
-    return B @ B.T / (2 * p) + 0.5 * np.eye(p)
-
-
 @given(chart_points())
 @example(edge_point(2, 1))
 @example(edge_point(4, 3))
@@ -362,9 +387,9 @@ def _random_sample_cov(gen, p):
 def test_score_matches_dense_dsigma(point):
     phi, gen = point
     theta = ThetaSym(phi, vech(random_core_sym(gen, phi.r, pd=True)))
-    omega_hat = _random_sample_cov(gen, phi.p)
-    _, _, got = _information(theta, omega_of_theta(theta), omega_hat)
-    direct = _dense_score(theta, omega_hat)
+    Y = gen.normal(size=(phi.p, 2 * phi.p))
+    _, _, got = _information(theta, Y)
+    direct = _dense_score(theta, Y @ Y.T / (2 * phi.p))
     assert np.linalg.norm(got - direct) <= 1e-13 * np.linalg.norm(direct)
 
 
@@ -380,9 +405,10 @@ def workload_model(p):
 
 def test_fisher_and_score_match_dense_oracle_at_p48():
     model = workload_model(48)
-    theta, omega = model.theta0, model.omega0
-    _, omega_hat = sample_gaussian(omega, model.n, 0)
-    F_J, B, score = _information(theta, omega, omega_hat)
+    theta = model.theta0
+    omega = omega_of_theta(theta)
+    Y, omega_hat = sample_gaussian(omega, model.n, 0)
+    F_J, B, score = _information(theta, Y)
     D = dsigma(theta)
     K = np.linalg.inv(omega)
     direct = 0.5 * D.T @ kron(K, K) @ D
@@ -445,30 +471,21 @@ def test_fisher_matches_fd_hessian():
 
 
 def test_prior_empty_support_value():
-    # S = empty, A = 0: only the size prior and the core Laplace term
-    theta = ThetaSym(Phi(5, 1, np.zeros(4)), [1.3])
-    a_const, n = 1.5, 50
-    got = prior_log_density(theta, (), a_const, n)
+    # S = empty: the size prior at t = 0 is -log z_n, z_n = sum_t q^t
+    p, r, a_const, n = 5, 1, 1.5, 50
     log_q = -1 * math.log(n) - a_const * math.log(4)
     z = sum(math.exp(t * log_q) for t in range(5))
-    assert abs(got - (-math.log(z) - 2.0 * 1.3)) < 1e-12
+    assert abs(_log_size_prior(p, r, a_const, n)[0] + math.log(z)) < 1e-12
 
 
 def test_prior_size_ratio():
     # pi_p(t+1) / pi_p(t) = n^{-r} (p - r)^{-a}
     p, r, a_const, n = 9, 2, 0.7, 40
+    table = _log_size_prior(p, r, a_const, n)
+    assert table.shape == (p - r + 1,)
     for t in range(p - r):
-        diff = _log_pi_p(t + 1, p, r, a_const, n) - _log_pi_p(t, p, r, a_const, n)
+        diff = table[t + 1] - table[t]
         assert abs(diff - (-r * math.log(n) - a_const * math.log(p - r))) < 1e-12
-
-
-def test_size_prior_entries_match_per_size_calls():
-    for p, r, a_const, n in ((2, 2, 1.0, 10), (9, 2, 0.7, 40), (48, 2, 1.0, 400), (30, 3, 2.5, 7)):
-        table = _log_size_prior(p, r, a_const, n)
-        assert table.shape == (p - r + 1,)
-        for t in range(p - r + 1):
-            assert _log_pi_p(t, p, r, a_const, n) == table[t]
-        assert abs(np.logaddexp.reduce(table)) < 1e-12
 
 
 @pytest.mark.parametrize("p, r", [(2, 1), (3, 2), (5, 1), (5, 2), (49, 2), (1000, 1), (1000, 3)])
@@ -484,21 +501,6 @@ def test_size_prior_closed_form_matches_logsumexp(p, r, a_const, n):
     expected = t * log_q - logsumexp(t * log_q)
     got = _log_size_prior(p, r, a_const, n)
     assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
-
-
-def test_prior_rejects_rows_off_support():
-    A = np.zeros((4, 1))
-    A[0, 0] = 0.3
-    A[2, 0] = 0.2
-    theta = ThetaSym(Phi(5, 1, A.ravel(order="F")), [1.0])
-    with pytest.raises(SupportViolation):
-        prior_log_density(theta, (0,), 1.0, 30)
-
-
-def test_prior_rejects_indefinite_core():
-    theta = ThetaSym(Phi(5, 1, np.zeros(4)), [-1.0])
-    with pytest.raises(DomainViolation):
-        prior_log_density(theta, (), 1.0, 30)
 
 
 def test_gamma_bounds_certificate():
@@ -531,28 +533,29 @@ def test_gamma_cached_and_deterministic():
 
 def test_single_component_at_minimal_cap():
     model = SpikedModel(canonical_theta(), 400, (1, 4))
-    _, omega_hat = sample_gaussian(model.omega0, 400, 3)
-    lp = limit_posterior(omega_hat, model, cap=2)
+    lp = limit_posterior(sample_data(model.theta0, 400, 3), model, cap=2)
     assert len(lp.components) == 1
     assert lp.components[0].weight == 1.0
     assert lp.components[0].support.indices == (1, 4)
 
 
 def test_zero_innovation_centers_every_component_at_truth():
+    # data whose sample covariance is Omega0 up to roundoff: the score is
+    # roundoff, and so is each mean's distance from the truth
     model = SpikedModel(canonical_theta(), 400, (1, 4))
-    lp = limit_posterior(model.omega0, model, cap=3)
+    Y = data_with_sample_cov(omega_of_theta(model.theta0), 400)
+    lp = limit_posterior(Y, model, cap=3)
     v0 = model.theta0.as_vector()
     for comp in lp.components:
         expected = comp.support.selector.T @ v0
-        assert np.max(np.abs(comp.mean - expected)) == 0.0
+        assert np.max(np.abs(comp.mean - expected)) <= 1e-12
 
 
 def test_weights_and_covariances_on_random_instances():
     # p=8, r=1, true support size 2, cap 3: 6 components
     for seed in range(5):
         model = sparse_r1_model(seed)
-        _, omega_hat = sample_gaussian(model.omega0, model.n, 2000 + seed)
-        lp = limit_posterior(omega_hat, model, cap=3)
+        lp = limit_posterior(sample_data(model.theta0, model.n, 2000 + seed), model, cap=3)
         assert len(lp.components) == 6
         w = np.array([c.weight for c in lp.components])
         assert abs(w.sum() - 1.0) <= 1e-12
@@ -565,10 +568,11 @@ def test_component_mean_solves_whitened_least_squares():
     # the explicit mean formula coincides with the projection of the
     # whitened observation onto the selected columns
     model = SpikedModel(canonical_theta(), 150, (1, 4))
-    _, omega_hat = sample_gaussian(model.omega0, 150, 8)
-    lp = limit_posterior(omega_hat, model, cap=3)
+    Y = sample_data(model.theta0, 150, 8)
+    lp = limit_posterior(Y, model, cap=3)
 
-    omega0 = model.omega0
+    omega_hat = Y @ Y.T / 150
+    omega0 = omega_of_theta(model.theta0)
     lam, V = np.linalg.eigh(omega0)
     inv_half = (V * lam**-0.5) @ V.T
     W = kron(inv_half, inv_half)
@@ -586,8 +590,7 @@ def test_component_mean_solves_whitened_least_squares():
 
 def test_posterior_weight_concentrates_on_true_support():
     model = SpikedModel(canonical_theta(), 400, (1, 4))
-    _, omega_hat = sample_gaussian(model.omega0, 400, 3)
-    lp = limit_posterior(omega_hat, model, cap=3)
+    lp = limit_posterior(sample_data(model.theta0, 400, 3), model, cap=3)
     assert lp.components[0].support.indices == (1, 4)
     assert lp.components[0].weight > 0.99
 
@@ -595,10 +598,10 @@ def test_posterior_weight_concentrates_on_true_support():
 def test_limit_posterior_at_p1024_keeps_no_dense_information():
     # the dense d x d information alone would take 32 MiB here
     model = workload_model(1024)
-    _, omega_hat = sample_gaussian(model.omega0, model.n, 0)
+    Y = sample_data(model.theta0, model.n, 0)
     tracemalloc.start()
     try:
-        lp = limit_posterior(omega_hat, model, cap=3)
+        lp = limit_posterior(Y, model, cap=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -610,16 +613,30 @@ def test_limit_posterior_at_p512_fits_in_memory():
     # r=2, cap=3, true support of size 2: 510 - 2 + 1 = 509 components.
     # The p^2 x d DSigma alone would take 2.1 GB here.
     model = workload_model(512)
-    _, omega_hat = sample_gaussian(model.omega0, model.n, 0)
+    Y = sample_data(model.theta0, model.n, 0)
     tracemalloc.start()
     try:
-        lp = limit_posterior(omega_hat, model, cap=3)
+        lp = limit_posterior(Y, model, cap=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(lp.components) == 509
     assert abs(sum(c.weight for c in lp.components) - 1.0) <= 1e-12
     assert peak < 300 * 2**20
+
+
+def test_spiked_job_at_p2048_forms_no_p_by_p_array():
+    # the model, the draw and the posterior together stay below the size
+    # of one p x p float64 array, 32 MiB at p = 2048
+    tracemalloc.start()
+    try:
+        model = workload_model(2048)
+        lp = limit_posterior(sample_data(model.theta0, model.n, 0), model, cap=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lp.components) == 2045
+    assert peak < 2048 * 2048 * 8
 
 
 def _posterior_case(r, p, s0, groups, zero_row, seed, n, a_const):
@@ -640,13 +657,13 @@ def _posterior_case(r, p, s0, groups, zero_row, seed, n, a_const):
         Phi(p, r, A.ravel(order="F")), vech(random_core_sym(gen, r, pd=True))
     )
     model = SpikedModel(theta, n, support0)
-    _, omega_hat = sample_gaussian(model.omega0, model.n, int(gen.integers(2**31)))
-    return model, omega_hat, s0 + groups - 1, a_const
+    Y = sample_data(model.theta0, model.n, int(gen.integers(2**31)))
+    return model, Y, s0 + groups - 1, a_const
 
 
 @st.composite
 def posterior_cases(draw):
-    """(model, omega_hat, cap, a_const): a random PD model with r in 1..3 and
+    """(model, Y, cap, a_const): a random PD model with r in 1..3 and
     p <= 64, at a cap that gives one, two or three support sizes; support0
     may be empty or hold an exactly zero row."""
     r = draw(st.integers(1, 3))
@@ -678,13 +695,13 @@ def test_stacked_posterior_matches_per_support_loop(case):
     # the blocks against the dense d x d information and a per-support loop
     # over its submatrices: the summation order differs, so agreement is to
     # 1e-12 relative
-    model, omega_hat, cap, a_const = case
-    theta, omega = model.theta0, model.omega0
-    F, score = dense_information(theta, omega, omega_hat)
+    model, Y, cap, a_const = case
+    theta = model.theta0
+    F, score = dense_information(theta, omega_of_theta(theta), Y @ Y.T / model.n)
     _assert_close(fisher_spiked(theta), F)
-    _assert_close(_information(theta, omega, omega_hat)[2], score)
-    lp = limit_posterior(omega_hat, model, cap, a_const)
-    oracle = loop_limit_posterior(omega_hat, model, cap, a_const)
+    _assert_close(_information(theta, Y)[2], score)
+    lp = limit_posterior(Y, model, cap, a_const)
+    oracle = loop_limit_posterior(Y, model, cap, a_const)
     assert len(lp.components) == len(oracle.components)
     for got, want in zip(lp.components, oracle.components):
         assert got.support == want.support
@@ -704,7 +721,7 @@ def test_gamma_mc_runs_once_per_support_size(monkeypatch):
 
     monkeypatch.setattr(spiked, "gamma_mc", counted)
     model = workload_model(48)
-    lp = limit_posterior(sample_gaussian(model.omega0, model.n, 0)[1], model, cap=3)
+    lp = limit_posterior(sample_data(model.theta0, model.n, 0), model, cap=3)
     assert len(lp.components) == 45
     assert sizes == [2, 3]
 
@@ -807,7 +824,14 @@ def test_enumeration_guard():
 def test_cap_below_true_support_rejected():
     model = SpikedModel(canonical_theta(), 100, (1, 4))
     with pytest.raises(ConfigError):
-        limit_posterior(model.omega0, model, cap=1)
+        limit_posterior(sample_data(model.theta0, 100, 0), model, cap=1)
+
+
+def test_posterior_rejects_data_of_wrong_shape():
+    model = SpikedModel(canonical_theta(), 100, (1, 4))
+    for bad in (np.ones((7, 100)), np.ones((8, 0)), np.ones(8)):
+        with pytest.raises(DimensionMismatch):
+            limit_posterior(bad, model, cap=2)
 
 
 # ---- sampler ----
@@ -815,8 +839,7 @@ def test_cap_below_true_support_rejected():
 
 def test_sampler_off_support_rows_exactly_zero():
     model = SpikedModel(canonical_theta(), 300, (1, 4))
-    _, omega_hat = sample_gaussian(model.omega0, 300, 5)
-    lp = limit_posterior(omega_hat, model, cap=2)
+    lp = limit_posterior(sample_data(model.theta0, 300, 5), model, cap=2)
     draws = sample_limit_posterior(lp, 500, 77)
     off_cols = [j * 6 + i for j in range(2) for i in (0, 2, 3, 5)]
     assert np.all(draws[:, off_cols] == 0.0)
@@ -825,8 +848,7 @@ def test_sampler_off_support_rows_exactly_zero():
 
 def test_sampler_mean_matches_component():
     model = SpikedModel(canonical_theta(), 400, (1, 4))
-    _, omega_hat = sample_gaussian(model.omega0, 400, 3)
-    lp = limit_posterior(omega_hat, model, cap=2)
+    lp = limit_posterior(sample_data(model.theta0, 400, 3), model, cap=2)
     comp = lp.components[0]
     draws = sample_limit_posterior(lp, 4000, 55)
     emp = (draws @ comp.support.selector).mean(axis=0)
@@ -850,8 +872,7 @@ def test_sampler_matches_per_component_loop():
     # one pass per run of equal dimensions reads the stream positions of one
     # standard_normal call per component; only the products round apart
     model = workload_model(12)
-    _, omega_hat = sample_gaussian(model.omega0, model.n, 7)
-    lp = limit_posterior(omega_hat, model, cap=4)
+    lp = limit_posterior(sample_data(model.theta0, model.n, 7), model, cap=4)
     # flatten the weights so that every component draws
     comps = [replace(c, weight=1.0 / len(lp.components)) for c in lp.components]
     lp = LimitPosterior(lp.p, lp.r, comps)
@@ -868,7 +889,7 @@ def test_sampler_matches_per_component_loop():
 
 def test_sampler_deterministic_and_empty():
     model = SpikedModel(canonical_theta(), 200, (1, 4))
-    lp = limit_posterior(model.omega0, model, cap=2)
+    lp = limit_posterior(sample_data(model.theta0, 200, 0), model, cap=2)
     a = sample_limit_posterior(lp, 50, 3)
     b = sample_limit_posterior(lp, 50, 3)
     assert np.array_equal(a, b)
@@ -880,15 +901,14 @@ def test_sampler_deterministic_and_empty():
 
 def test_lan_zero_at_truth():
     theta0 = canonical_theta()
-    _, omega_hat = sample_gaussian(omega_of_theta(theta0), 100, 2)
-    assert lan_remainder(theta0, theta0, omega_hat, 100) == 0.0
+    assert lan_remainder(theta0, theta0, sample_data(theta0, 100, 2)) == 0.0
 
 
 def test_lan_matches_dense_quadratic_form():
     # the block quadratic form against delta^T F delta with the dense F
     theta0 = canonical_theta()
     omega0 = omega_of_theta(theta0)
-    _, omega_hat = sample_gaussian(omega0, 200, 4)
+    Y, omega_hat = sample_gaussian(omega0, 200, 4)
     u = rng(22).standard_normal(theta0.d)
     theta = ThetaSym.from_vector(8, 2, theta0.as_vector() + 0.01 * u)
     F, g = dense_information(theta0, omega0, omega_hat)
@@ -897,21 +917,21 @@ def test_lan_matches_dense_quadratic_form():
         omega0, omega_hat, 200
     )
     want = diff - 100.0 * float(g @ delta) + 100.0 * float(delta @ F @ delta)
-    got = lan_remainder(theta, theta0, omega_hat, 200)
+    got = lan_remainder(theta, theta0, Y)
     assert abs(got - want) <= 1e-10 * max(abs(diff), 1.0)
 
 
 def test_lan_cubic_scaling():
-    # at Omega_hat = Omega0 the remainder is the cubic Taylor tail, so
-    # halving the step divides it by roughly 8
+    # at Omega_hat = Omega0 (up to roundoff) the remainder is the cubic
+    # Taylor tail, so halving the step divides it by roughly 8
     theta0 = canonical_theta()
-    omega0 = omega_of_theta(theta0)
+    Y = data_with_sample_cov(omega_of_theta(theta0), 400)
     u = rng(21).standard_normal(theta0.d)
     u /= np.linalg.norm(u)
     vals = []
     for t in (0.02, 0.01, 0.005):
         theta = ThetaSym.from_vector(8, 2, theta0.as_vector() + t * u)
-        vals.append(abs(lan_remainder(theta, theta0, omega0, 400)))
+        vals.append(abs(lan_remainder(theta, theta0, Y)))
     for hi, lo in zip(vals, vals[1:]):
         assert 5.0 < hi / lo < 11.0
 
@@ -934,8 +954,7 @@ def test_tail_zero_for_draws_at_truth():
 
 def test_tail_fraction_in_unit_interval_and_monotone_in_radius():
     model = SpikedModel(canonical_theta(), 200, (1, 4))
-    _, omega_hat = sample_gaussian(model.omega0, 200, 11)
-    lp = limit_posterior(omega_hat, model, cap=2)
+    lp = limit_posterior(sample_data(model.theta0, 200, 11), model, cap=2)
     draws = sample_limit_posterior(lp, 400, 13)
     U0 = cayley_map(model.theta0.phi).matrix
     small = sin_theta_tail(draws, U0, 0.3, 2, 8, 200)
@@ -947,8 +966,7 @@ def test_tail_matches_per_draw_loop():
     # oracle: map and measure one draw at a time, as 2-D calls; the draws
     # include Gaussian blocks far outside the chart ball
     model = SpikedModel(canonical_theta(), 200, (1, 4))
-    _, omega_hat = sample_gaussian(model.omega0, 200, 11)
-    lp = limit_posterior(omega_hat, model, cap=2)
+    lp = limit_posterior(sample_data(model.theta0, 200, 11), model, cap=2)
     draws = sample_limit_posterior(lp, 300, 17)
     gen = rng(18)
     scales = gen.uniform(0.5, 50.0, size=(30, 1))

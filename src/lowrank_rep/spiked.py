@@ -322,7 +322,7 @@ def _information(theta, Y=None):
     # of the active rows and then mu, laid out as _block_layout gives them.
     # With a fixed number of active rows this costs O(p r^2), plus O(p n r)
     # for the score.  Returns (F_J, B, score); score is None when Y is None.
-    # F_J, and B when some row is zero, must pass the eigvalsh PD gate.
+    # I + M, F_J, and B when some row is zero, must pass the eigvalsh PD gate.
     p, r = theta.p, theta.r
     A = theta.phi.A
     Z = _frame_factor(A)
@@ -351,11 +351,11 @@ def _information(theta, Y=None):
     F_J = 0.5 * (F_J + F_J.T)
     B = 4.0 * G @ MVM @ G.T
     B = 0.5 * (B + B.T)
-    gated = [F_J] if len(active) == p - r else [F_J, B]
+    gated = [np.eye(r) + M, F_J] + [B] * (len(active) < p - r)
     lam_min = min(float(np.linalg.eigvalsh(F).min()) for F in gated)
     if lam_min <= 0.0:
         raise NotPositiveDefinite(
-            f"Fisher information smallest eigenvalue {lam_min:.3e} <= 0"
+            f"I + M or Fisher information has eigenvalue {lam_min:.3e} <= 0"
         )
     if Y is None:
         return F_J, B, None
@@ -379,8 +379,6 @@ def fisher_spiked(theta0):
     from its blocks: F_J for the active rows of A and mu, and the r x r
     block B at every exactly zero row.
     """
-    if _omega_min_eig(theta0) <= 0.0:
-        raise NotPositiveDefinite("Sigma(theta) + I is not positive definite")
     F_J, B, _ = _information(theta0)
     _, cols, zc = _block_layout(theta0.phi.A)
     F = np.zeros((theta0.d, theta0.d))
@@ -571,16 +569,15 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
 
 
 def limit_posterior(Y, model, cap, a_const=1.0):
-    """Limiting posterior over (support, chart coordinates) given data Y.
+    """Limiting posterior over (support, chart coordinates) given p x n data Y.
 
     Enumerates every support containing support0 with size at most cap.
     A component's information is the full-sample quantity
     I_S = n F_S^T I_per F_S, its mean is theta0_S plus I_S^{-1} times the
     selected half of the full-sample score (n/2) DSigma^T
-    vec(Om0^{-1}(Omega_hat - Om0) Om0^{-1}), Omega_hat = Y Y^T / n for the
-    p x n data Y, and its log weight combines the support prior, the gamma
-    normalizer, and the evidence (1/2)(d_S log 2pi - logdet I_S) + (1/2)
-    mean^T I_S mean.
+    vec(Om0^{-1}(Y Y^T / n - Om0) Om0^{-1}), and its log weight combines
+    the support prior, the gamma normalizer, and the Gaussian evidence
+    (1/2)(d_S log 2pi - logdet I_S) + (1/2) mean^T I_S mean.
     """
     if a_const <= 0.0:
         raise ConfigError(f"prior exponent a_const must be > 0, got {a_const}")
@@ -658,10 +655,9 @@ def lan_remainder(theta, theta0, Y):
     R_n = [l(Omega(theta)) - l(Omega0)]
           - (n/2) vec(Omega_hat - Om0)^T (Om0^{-1} x Om0^{-1}) DSigma0 delta
           + (n/2) delta^T I_per delta,
-    with delta = theta - theta0 and Omega_hat = Y Y^T / n, dense, for the
-    p x n data Y.  Exactly zero at theta = theta0, and invariant under
-    adding a constant to the log-likelihood because only the difference of
-    two evaluations enters.
+    with delta = theta - theta0 and Omega_hat = Y Y^T / n.  Exactly zero
+    at theta = theta0, and invariant under adding a constant to the
+    log-likelihood because only the difference of two evaluations enters.
     """
     if (theta.p, theta.r) != (theta0.p, theta0.r):
         raise DimensionMismatch("chart points live on different (p, r)")

@@ -40,7 +40,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 P_VALUES = (256, 512, 1024, 2048, 4096)
 DENSE_P_MAX = 1024
-CLI_P_MAX = 4096
 CLI_REPEATS = 3
 CAP = 3
 REPEATS = 5
@@ -191,8 +190,7 @@ def main(argv=None):
         result["blas_threads"] = threads
         runs.append(result)
         for row in result["rows"]:
-            if row["p"] <= CLI_P_MAX:
-                row.update(_fresh_cli_job(row["p"], env))
+            row.update(_fresh_cli_job(row["p"], env))
             dense = row.get("dense_information_s", math.nan)
             print(
                 f"threads={threads} p={row['p']} components={row['components']} "

@@ -342,10 +342,8 @@ def test_fisher_singular_at_zero_core_for_tall_frames():
     # with p > r a zero core freezes Sigma in the phi directions, so the
     # information degenerates and the PD gate refuses it
     theta = ThetaSym(Phi(6, 2, 0.25 * np.ones(8) / 3.0), np.zeros(3))
-    # fisher_spiked keeps the same gate; at p = r with M < -I its blocks
-    # alone would pass, since V = (I + M)^{-1} < 0 gives V kron V > 0
     with pytest.raises(NotPositiveDefinite):
-        fisher_spiked(ThetaSym(Phi(1, 1, np.zeros(0)), [-2.0]))
+        fisher_spiked(theta)
 
 
 @given(chart_points())

@@ -22,7 +22,6 @@ from .cayley import (
     cayley_map,
     gamma_matrix,
     lipschitz_certificate_A,
-    skew_embed,
     taylor_certificate_U,
 )
 from .matkit import (

@@ -22,6 +22,7 @@ bound so callers can audit slack.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,14 +34,21 @@ from .errors import (
     RankMismatch,
     TopBlockNotPD,
 )
-from .matkit import _check_frame, commutation_matrix, kron, spectral_norm, unvec, vec
+from .matkit import (
+    _check_frame,
+    _read_only,
+    commutation_matrix,
+    kron,
+    spectral_norm,
+    unvec,
+    vec,
+)
 
 __all__ = [
     "Phi",
     "StiefelPlus",
     "Certificate",
     "GateNotMet",
-    "skew_embed",
     "cayley_map",
     "cayley_inverse",
     "gamma_matrix",
@@ -98,7 +106,10 @@ class GateNotMet:
 class Phi:
     """Chart coordinates: p, r, and values = vec(A) of length (p - r) r.
 
-    Construction validates ||A||_2 < 1 - 1e-12 (DomainViolation otherwise).
+    Construction copies values, read-only, and validates ||A||_2 < 1 - 1e-12
+    (DomainViolation otherwise).  A, norm = ||A||_2 and the frame quantities
+    below are computed on first use and kept, read-only, for the lifetime of
+    the point.
     """
 
     p: int
@@ -108,21 +119,40 @@ class Phi:
     def __post_init__(self):
         if not (1 <= self.r <= self.p):
             raise DimensionMismatch(f"need 1 <= r <= p, got p={self.p}, r={self.r}")
-        v = np.atleast_1d(np.asarray(self.values, dtype=float)).ravel()
+        v = np.array(self.values, dtype=float).ravel()
         if v.size != (self.p - self.r) * self.r:
             raise DimensionMismatch(
                 f"phi length {v.size} != (p - r) r = {(self.p - self.r) * self.r}"
             )
-        object.__setattr__(self, "values", v)
-        norm = spectral_norm(self.A)
-        if norm >= 1.0 - DOMAIN_MARGIN:
+        object.__setattr__(self, "values", _read_only(v))
+        if self.norm >= 1.0 - DOMAIN_MARGIN:
             raise DomainViolation(
-                f"||A||_2 = {norm:.17g} outside the open chart domain"
+                f"||A||_2 = {self.norm:.17g} outside the open chart domain"
             )
 
-    @property
+    @cached_property
     def A(self):
-        return unvec(self.values, (self.p - self.r, self.r))
+        return _read_only(unvec(self.values, (self.p - self.r, self.r)))
+
+    @cached_property
+    def norm(self):
+        """||A||_2."""
+        return spectral_norm(self.A)
+
+    @cached_property
+    def factor(self):
+        """Z = (I - X)^{-1} I_{p x r} = [G; A G], p x r."""
+        return _read_only(_frame_factor(self.A))
+
+    @cached_property
+    def frame(self):
+        """The frame U(phi) = 2 Z - I_{p x r}, validated once."""
+        return StiefelPlus(_read_only(_frame_from_factor(self.factor)))
+
+    @cached_property
+    def jacobian(self):
+        """DU(phi), shape (p r) x ((p - r) r); see cayley_jacobian."""
+        return _read_only(_jacobian_columns(self.A, self.factor, slice(None)))
 
 
 @dataclass(frozen=True)
@@ -197,14 +227,6 @@ def _top_block_frame(mags, V, r):
     return rotate(Vr), rotate
 
 
-def skew_embed(phi):
-    """Skew-symmetric p x p matrix [[0, -A^T], [A, 0]] from chart coordinates."""
-    X = np.zeros((phi.p, phi.p))
-    X[phi.r :, : phi.r] = phi.A
-    X[: phi.r, phi.r :] = -phi.A.T
-    return X
-
-
 def _frame_factor(A):
     # Z = C G with C = [I; A], G = (C^T C)^{-1}, for one (p - r) x r block or
     # a stack of them over leading axes; matmul and solve treat each block
@@ -250,8 +272,8 @@ def _frame_of_rows(A):
 
 
 def cayley_map(phi):
-    """Frame U(phi) = (I + X)(I - X)^{-1} I_{p x r}."""
-    return StiefelPlus(_frame_of_rows(phi.A))
+    """Frame U(phi) = (I + X)(I - X)^{-1} I_{p x r}, phi.frame."""
+    return phi.frame
 
 
 def cayley_inverse(U):
@@ -295,10 +317,9 @@ def cayley_jacobian(phi):
     S = (I - X)^{-1} and Z = S I_{p x r} the column is vec(2 S dX Z), the
     vec of 2 (S[:, r+a] Z[b, :] - S[:, b] Z[r+a, :]) read as outer
     products.  Only the trailing columns [0; I] - Z A^T of S are formed,
-    and neither the Kronecker factor nor Gamma.
+    and neither the Kronecker factor nor Gamma.  Returns phi.jacobian.
     """
-    A = phi.A
-    return _jacobian_columns(A, _frame_factor(A), slice(None))
+    return phi.jacobian
 
 
 def _jacobian_columns(A, Z, rows):

@@ -538,12 +538,15 @@ def _mean_cells(comp, d):
     """A component's mean_1..mean_d cells, joined: its support mean in the
     support's columns and 0 elsewhere, the bytes of selector @ mean.  The
     dense product starts every sum from +0.0, so a -0.0 entry of the mean
-    prints as 0; adding 0.0 does the same here.
+    prints as 0; adding 0.0 does the same here.  The support's columns
+    ascend, so the cells between two of them are one run of '0,'.
     """
-    cells = ["0"] * d
+    parts = []
+    prev = -1
     for col, value in zip(comp.support.columns, (comp.mean + 0.0).tolist()):
-        cells[col] = "%.17g" % value
-    return ",".join(cells)
+        parts.append("0," * (col - prev - 1) + "%.17g" % value)
+        prev = col
+    return ",".join(parts) + ",0" * (d - 1 - prev)
 
 
 def _run_spiked(cfg, seed_override, out_override):

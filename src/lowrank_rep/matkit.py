@@ -219,6 +219,13 @@ def _sin_theta_spectral(Us, V):
     return dist
 
 
+def _read_only(a):
+    # a itself, made read-only: a chart point's coordinates and the
+    # quantities it keeps are shared by every caller that holds the point
+    a.flags.writeable = False
+    return a
+
+
 def spectral_norm(M):
     """Largest singular value; 0 for an empty matrix."""
     M = np.asarray(M, dtype=float)

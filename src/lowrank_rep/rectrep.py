@@ -6,6 +6,7 @@ matrix stored column-stacked, so d = (p2 - r) r + p1 r.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,11 +16,9 @@ from .cayley import (
     StiefelPlus,
     _top_block_frame,
     cayley_inverse,
-    cayley_jacobian,
-    cayley_map,
 )
 from .errors import DimensionMismatch, SingularGram
-from .matkit import _inv_gram_norm, kron, spectral_norm, unvec, vec
+from .matkit import _inv_gram_norm, _read_only, kron, spectral_norm, unvec, vec
 
 __all__ = [
     "ThetaRect",
@@ -33,7 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThetaRect:
-    """Chart point: phi over (p2, r), mu = vec(M) with M of shape p1 x r."""
+    """Chart point: phi over (p2, r), mu = vec(M) with M of shape p1 x r.
+
+    Construction copies mu, read-only.  Sigma(theta) and DSigma(theta) are
+    computed on first use and kept, read-only, for the lifetime of the point.
+    """
 
     p1: int
     phi: Phi
@@ -42,12 +45,12 @@ class ThetaRect:
     def __post_init__(self):
         if self.p1 < 1:
             raise DimensionMismatch(f"need p1 >= 1, got {self.p1}")
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float)).ravel()
+        mu = np.array(self.mu, dtype=float).ravel()
         if mu.size != self.p1 * self.r:
             raise DimensionMismatch(
                 f"mu length {mu.size} != p1 r = {self.p1 * self.r}"
             )
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _read_only(mu))
 
     @property
     def p2(self):
@@ -79,11 +82,28 @@ class ThetaRect:
             )
         return cls(p1, Phi(p2, r, vector[:n_phi]), vector[n_phi:])
 
+    @cached_property
+    def sigma(self):
+        """Sigma(theta); see sigma_of_theta_rect."""
+        return _read_only(self.core @ self.phi.frame.matrix.T)
+
+    @cached_property
+    def jacobian(self):
+        """DSigma(theta), (p1 p2) x d; see dsigma_rect."""
+        p1, p2, r = self.p1, self.p2, self.r
+        d_mu = kron(self.phi.frame.matrix, np.eye(p1))
+        if p2 == r:
+            return _read_only(d_mu)
+        dU = self.phi.jacobian.reshape(p2, r, -1, order="F")
+        # C[i, l, k] = sum_j M[i, j] dU_k[l, j]
+        C = np.tensordot(self.core, dU, axes=(1, 1))
+        return _read_only(np.hstack([C.reshape(p1 * p2, -1, order="F"), d_mu]))
+
 
 def sigma_of_theta_rect(theta):
-    """Sigma(theta) = M(mu) U(phi)^T, a p1 x p2 matrix of rank <= r."""
-    U = cayley_map(theta.phi).matrix
-    return theta.core @ U.T
+    """Sigma(theta) = M(mu) U(phi)^T, a p1 x p2 matrix of rank <= r;
+    theta.sigma."""
+    return theta.sigma
 
 
 def theta_of_sigma_rect(Sigma, r):
@@ -110,17 +130,9 @@ def dsigma_rect(theta):
 
     D_phi = K_{p2 p1} (M kron I_{p2}) DU(phi),  D_mu = U kron I_{p1}.
     Column k of D_phi is vec(M dU_k^T), computed without forming K or the
-    Kronecker factor.
+    Kronecker factor.  Returns theta.jacobian.
     """
-    p1, p2, r = theta.p1, theta.p2, theta.r
-    U = cayley_map(theta.phi).matrix
-    d_mu = kron(U, np.eye(p1))
-    if p2 == r:
-        return d_mu
-    dU = cayley_jacobian(theta.phi).reshape(p2, r, -1, order="F")
-    # C[i, l, k] = sum_j M[i, j] dU_k[l, j]
-    C = np.tensordot(theta.core, dU, axes=(1, 1))
-    return np.hstack([C.reshape(p1 * p2, -1, order="F"), d_mu])
+    return theta.jacobian
 
 
 def taylor_certificate_rect(theta, theta0):
@@ -155,7 +167,7 @@ def regularity_bound_rect(theta0):
     if sv_M.size < theta0.r or sv_M[-1] <= 1e-12 * max(sv_M[0], 1.0):
         raise SingularGram(f"core rank deficient: sigma_r = {sv_M[-1]:.3e}")
     sr, s1 = float(sv_M[-1]), float(sv_M[0])
-    a0 = spectral_norm(theta0.phi.A)
+    a0 = theta0.phi.norm
     if theta0.r >= 2:
         bound = 1.0 + (1.0 + 8.0 * s1**2) * (1.0 + a0**2) ** 4 / (
             4.0 * sr**2 * (1.0 - a0**2) ** 2

@@ -22,13 +22,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .cayley import (
-    _frame_factor,
-    _frame_from_factor,
-    _frame_of_rows,
-    _jacobian_columns,
-    cayley_map,
-)
+from .cayley import _frame_of_rows, _jacobian_columns
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -254,7 +248,7 @@ def sample_data(theta, n, seed):
     """
     if int(n) < 1:
         raise ConfigError(f"need n >= 1 samples, got {n}")
-    U = cayley_map(theta.phi).matrix
+    U = theta.phi.frame.matrix
     rows = np.flatnonzero(U.any(axis=1))
     S = U[rows] @ theta.core @ U[rows].T
     try:
@@ -325,8 +319,8 @@ def _information(theta, Y=None):
     # I + M, F_J, and B when some row is zero, must pass the eigvalsh PD gate.
     p, r = theta.p, theta.r
     A = theta.phi.A
-    Z = _frame_factor(A)
-    U = _frame_from_factor(Z)
+    Z = theta.phi.factor
+    U = theta.phi.frame.matrix
     G = Z[:r]
     M = theta.core
     V = np.linalg.inv(np.eye(r) + M)
@@ -742,7 +736,7 @@ def sin_theta_tail_study(
     shared across sample sizes.
     """
     n_ref = min(n_values)
-    U0 = cayley_map(model.theta0.phi).matrix
+    U0 = model.theta0.phi.frame.matrix
     s = max(len(model.support0), 1)
     fractions = []
     for n in n_values:

@@ -11,6 +11,7 @@ Sigma = M(mu); all operations honor that degenerate case.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .cayley import (
     StiefelPlus,
     _top_block_frame,
     cayley_inverse,
-    cayley_jacobian,
     cayley_map,
 )
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
 )
 from .matkit import (
     _inv_gram_norm,
+    _read_only,
     duplication_matrix,
     kron,
     sin_theta,
@@ -54,19 +55,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThetaSym:
-    """Chart point of the symmetric representation."""
+    """Chart point of the symmetric representation.
+
+    Construction copies mu, read-only.  Sigma(theta) and DSigma(theta) are
+    computed on first use and kept, read-only, for the lifetime of the point.
+    """
 
     phi: Phi
     mu: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float)).ravel()
+        mu = np.array(self.mu, dtype=float).ravel()
         r = self.phi.r
         if mu.size != r * (r + 1) // 2:
             raise DimensionMismatch(
                 f"mu length {mu.size} != r(r+1)/2 = {r * (r + 1) // 2}"
             )
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _read_only(mu))
 
     @property
     def p(self):
@@ -100,12 +105,32 @@ class ThetaSym:
             )
         return cls(Phi(p, r, vector[:n_phi]), vector[n_phi:])
 
+    @cached_property
+    def sigma(self):
+        """Sigma(theta); see sigma_of_theta."""
+        U = self.phi.frame.matrix
+        S = U @ self.core @ U.T
+        return _read_only(0.5 * (S + S.T))
+
+    @cached_property
+    def jacobian(self):
+        """DSigma(theta), p^2 x d; see dsigma."""
+        p, r = self.p, self.r
+        U = self.phi.frame.matrix
+        d_mu = kron(U, U) @ duplication_matrix(r)
+        if p == r:
+            return _read_only(d_mu)
+        # row k of DU^T is vec(dU_k), so this reshape gives dU_k^T as r x p
+        dU_t = self.phi.jacobian.T.reshape(-1, r, p)
+        B_t = (U @ self.core) @ dU_t
+        # B + B^T is symmetric, so its row-major ravel is its vec
+        rows = (B_t + B_t.transpose(0, 2, 1)).reshape(-1, p * p)
+        return _read_only(np.concatenate([rows, d_mu.T]).T)
+
 
 def sigma_of_theta(theta):
-    """Sigma(theta) = U(phi) M(mu) U(phi)^T, exactly symmetric."""
-    U = cayley_map(theta.phi).matrix
-    S = U @ theta.core @ U.T
-    return 0.5 * (S + S.T)
+    """Sigma(theta) = U(phi) M(mu) U(phi)^T, exactly symmetric; theta.sigma."""
+    return theta.sigma
 
 
 def _eig_by_magnitude(Sigma):
@@ -146,18 +171,9 @@ def dsigma(theta):
     The phi block is (I + K_pp)(U M kron I) DU: column k is vec(B + B^T)
     with B = dU_k (U M)^T, computed without the p^2 x p^2 factors.  For
     p > r the result is Fortran-ordered: each column is one contiguous block.
+    Returns theta.jacobian.
     """
-    p, r = theta.p, theta.r
-    U = cayley_map(theta.phi).matrix
-    d_mu = kron(U, U) @ duplication_matrix(r)
-    if p == r:
-        return d_mu
-    # row k of DU^T is vec(dU_k), so this reshape gives dU_k^T as r x p
-    dU_t = cayley_jacobian(theta.phi).T.reshape(-1, r, p)
-    B_t = (U @ theta.core) @ dU_t
-    # B + B^T is symmetric, so its row-major ravel is its vec
-    rows = (B_t + B_t.transpose(0, 2, 1)).reshape(-1, p * p)
-    return np.concatenate([rows, d_mu.T]).T
+    return theta.jacobian
 
 
 def _theta_pair_check(theta, theta0):
@@ -197,7 +213,7 @@ def inverse_perturbation_certificate(theta, theta0):
             raise NotPositiveDefinite(f"{name}: lambda_min = {lam_min:.3e}")
     lam0 = np.linalg.eigvalsh(theta0.core)
     lam_r, lam_1 = float(lam0[0]), float(lam0[-1])
-    a0 = spectral_norm(theta0.phi.A)
+    a0 = theta0.phi.norm
     dsig = float(np.linalg.norm(sigma_of_theta(theta) - sigma_of_theta(theta0)))
     gate = (1.0 - a0**2) ** 2 * lam_r / (4.0 * np.sqrt(2.0) * (1.0 + a0**2) ** 2)
     if dsig > gate:
@@ -238,7 +254,7 @@ def subspace_equivalence_certificates(phi, phi0):
         observed=sf,
         bound=np.sqrt(2.0) * float(np.linalg.norm(U - U0)),
     )
-    a0 = spectral_norm(phi0.A)
+    a0 = phi0.norm
     gate = (1.0 - a0**2) ** 2 / (8.0 * (1.0 + a0**2) ** 2)
     if sf > gate:
         c3 = GateNotMet(
@@ -286,7 +302,7 @@ def regularity_bounds(theta0):
         # be PD, so this is the rank test of regularity_bound_rect
         raise SingularGram(f"core numerically singular: {sv_M[-1]:.3e}")
     sr, s1 = float(sv_M[-1]), float(sv_M[0])
-    a0 = spectral_norm(theta0.phi.A)
+    a0 = theta0.phi.norm
 
     D = dsigma(theta0)
     n_phi = (p - r) * r

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from lowrank_rep import Phi, ThetaRect, ThetaSym, gamma_matrix, kron, skew_embed, vech
+from lowrank_rep import Phi, ThetaRect, ThetaSym, gamma_matrix, kron, vech
 from lowrank_rep.rngs import generator, substream
 
 # Largest ||A||_2 drawn by the chart property tests: far inside the 1e-12
@@ -98,6 +98,14 @@ def _scaled_point(p, r, norm, seed):
     A = gen.normal(size=(p - r, r))
     A *= norm / np.linalg.norm(A, 2)
     return Phi(p, r, A.reshape(-1, order="F")), gen
+
+
+def skew_embed(phi):
+    """Skew-symmetric p x p matrix X = [[0, -A^T], [A, 0]] of a chart point."""
+    X = np.zeros((phi.p, phi.p))
+    X[phi.r :, : phi.r] = phi.A
+    X[: phi.r, phi.r :] = -phi.A.T
+    return X
 
 
 def dense_cayley_frame(phi, scale):

@@ -1,4 +1,5 @@
-"""Cayley chart: frozen values, round trips, Jacobian oracle, certificates."""
+"""Cayley chart: frozen values, round trips, Jacobian oracle, certificates,
+and the read-only chart quantities each chart point keeps."""
 
 import numpy as np
 import pytest
@@ -8,17 +9,22 @@ from hypothesis import strategies as st
 from lowrank_rep import (
     Phi,
     StiefelPlus,
+    ThetaRect,
+    ThetaSym,
     cayley_inverse,
     cayley_jacobian,
     cayley_map,
+    dsigma,
+    dsigma_rect,
     gamma_matrix,
     lipschitz_certificate_A,
-    skew_embed,
+    sigma_of_theta,
+    sigma_of_theta_rect,
     spectral_norm,
     taylor_certificate_U,
     vec,
 )
-from lowrank_rep.cayley import _frame_of_rows
+from lowrank_rep.cayley import _frame_factor, _frame_of_rows, _jacobian_columns
 from lowrank_rep.cli import run as cli_run
 from lowrank_rep.errors import (
     DimensionMismatch,
@@ -36,6 +42,7 @@ from helpers import (
     fd_jacobian,
     random_phi,
     rng,
+    skew_embed,
 )
 
 
@@ -66,6 +73,100 @@ def test_phi_length_check():
     with pytest.raises(DimensionMismatch):
         Phi(4, 2, [0.1, 0.2, 0.3])
 
+
+# ----------------------------------------------- read-only chart quantities
+
+
+def test_chart_points_copy_their_coordinates():
+    # writing into the caller's arrays after construction must not move
+    # the point: ||A||_2 = 12.2 here would leave the chart domain
+    v = np.zeros(6)
+    phi = Phi(5, 2, v)
+    v[:] = 5.0
+    assert not np.shares_memory(phi.values, v)
+    assert np.array_equal(phi.values, np.zeros(6))
+    assert np.array_equal(cayley_map(phi).matrix, np.eye(5)[:, :2])
+    mu = np.array([1.0, 0.0, 1.0])
+    theta = ThetaSym(phi, mu)
+    mu[:] = [1.0, 3.0, 1.0]  # an indefinite core, had theta kept mu
+    assert np.linalg.eigvalsh(theta.core)[0] == 1.0
+    nu = np.ones(6)
+    rect = ThetaRect(3, phi, nu)
+    nu[:] = 0.0
+    assert np.array_equal(rect.mu, np.ones(6))
+    for held in (phi.values, theta.mu, rect.mu):
+        with pytest.raises(ValueError):
+            held[0] = 2.0
+
+
+def memo_case(p, r, p1, norm, seed):
+    """(theta, rect) sharing one phi with ||A||_2 = norm (0 when p = r)."""
+    gen = rng(seed)
+    A = gen.normal(size=(p - r, r))
+    if A.size:
+        A *= norm / np.linalg.norm(A, 2)
+    phi = Phi(p, r, A.reshape(-1, order="F"))
+    theta = ThetaSym(phi, gen.normal(size=r * (r + 1) // 2))
+    return theta, ThetaRect(p1, phi, gen.normal(size=p1 * r))
+
+
+@st.composite
+def memo_points(draw):
+    """memo_case over p <= 10, r <= 3 with p = r allowed, ||A||_2 <= 0.99."""
+    r = draw(st.integers(1, 3))
+    p = draw(st.integers(r, 10))
+    return memo_case(
+        p,
+        r,
+        draw(st.integers(1, 10)),
+        draw(st.floats(0.0, 0.99)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@given(memo_points())
+@settings(max_examples=150, deadline=None)
+@example(memo_case(10, 3, 10, 0.99, 1))
+@example(memo_case(3, 3, 2, 0.0, 2))
+def test_memoized_chart_quantities_match_fresh_and_are_read_only(case):
+    theta, rect = case
+    phi = theta.phi
+    held = {
+        "values": phi.values,
+        "A": phi.A,
+        "factor": phi.factor,
+        "frame": cayley_map(phi).matrix,
+        "DU": cayley_jacobian(phi),
+        "mu": theta.mu,
+        "Sigma": sigma_of_theta(theta),
+        "DSigma": dsigma(theta),
+        "mu_rect": rect.mu,
+        "Sigma_rect": sigma_of_theta_rect(rect),
+        "DSigma_rect": dsigma_rect(rect),
+    }
+    for name, value in held.items():
+        assert not value.flags.writeable, name
+    # each call returns the one kept array
+    assert cayley_map(phi) is phi.frame
+    assert cayley_jacobian(phi) is held["DU"]
+    assert sigma_of_theta(theta) is held["Sigma"]
+    assert dsigma(theta) is held["DSigma"]
+    assert dsigma_rect(rect) is held["DSigma_rect"]
+
+    # fresh recomputations from copies of the coordinates, bit for bit
+    A = np.array(phi.A)
+    U = _frame_of_rows(A)
+    assert np.array_equal(held["frame"], U)
+    assert np.array_equal(held["factor"], _frame_factor(A))
+    assert np.array_equal(held["DU"], _jacobian_columns(A, _frame_factor(A), slice(None)))
+    S = U @ theta.core @ U.T
+    assert np.array_equal(held["Sigma"], 0.5 * (S + S.T))
+    assert np.array_equal(held["Sigma_rect"], rect.core @ U.T)
+    fresh_phi = Phi(phi.p, phi.r, np.array(phi.values))
+    fresh = ThetaSym(fresh_phi, np.array(theta.mu))
+    assert np.array_equal(held["DSigma"], dsigma(fresh))
+    fresh_rect = ThetaRect(rect.p1, fresh_phi, np.array(rect.mu))
+    assert np.array_equal(held["DSigma_rect"], dsigma_rect(fresh_rect))
 
 # --------------------------------------------------------------- skew embed
 

@@ -12,6 +12,7 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowrank_rep
-from lowrank_rep import cli
+from lowrank_rep import cayley, cli
+from lowrank_rep.rngs import substream
 from lowrank_rep.spiked import PosteriorComponent, SupportSet
 
 # the child imports the same package as this process, installed or not
@@ -169,6 +171,24 @@ def test_check_bounds_seed_flag_overrides(tmp_path):
 def test_check_bounds_r_must_stay_below_p(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", "p=3\nr=3\ndraws=2\n")
     assert run_cli("check-bounds", "--config", cfg).returncode == 2
+
+
+def test_battery_instance_maps_each_chart_point_once(monkeypatch):
+    # an instance has two distinct chart points, phi and phi0, and needs
+    # DU only at phi0; every certificate reads the quantities they keep
+    calls = Counter()
+    for name in ("_frame_factor", "_jacobian_columns"):
+        original = getattr(cayley, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cayley, name, counted)
+    for i in range(5):
+        calls.clear()
+        cli._battery_instance(substream(0, i), 10, 3)
+        assert calls == {"_frame_factor": 2, "_jacobian_columns": 1}
 
 
 # ---- sbm-sim ----

@@ -14,7 +14,6 @@ sqrt(mn) (Sigma_hat - Sigma0)_st has variance sigma2 / (w_s pi_t).
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .cluster import (
     ClusterAssignment,
@@ -147,6 +146,8 @@ def _leading_singular_vecs(Y, r, seed):
     if min(Y.shape) <= DENSE_SVD_MAX or r >= min(Y.shape) - 1:
         U, _, Vt = np.linalg.svd(Y, full_matrices=False)
         return U[:, :r], Vt[:r, :].T
+    import scipy.sparse.linalg
+
     v0 = substream(seed, 7).standard_normal(min(Y.shape))
     U, s, Vt = scipy.sparse.linalg.svds(Y, k=r, v0=v0)
     order = np.argsort(-s, kind="stable")

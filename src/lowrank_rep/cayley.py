@@ -147,7 +147,7 @@ class Phi:
     @cached_property
     def frame(self):
         """The frame U(phi) = 2 Z - I_{p x r}, validated once."""
-        return StiefelPlus(_read_only(_frame_from_factor(self.factor)))
+        return StiefelPlus(_frame_from_factor(self.factor))
 
     @cached_property
     def jacobian(self):
@@ -162,7 +162,7 @@ class StiefelPlus:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        U = _check_frame(self.matrix, "frame")
+        U = _check_frame(_read_only(np.array(self.matrix, dtype=float)), "frame")
         if U.shape[1] < 1:
             raise DimensionMismatch(f"frame needs r >= 1 columns, got {U.shape}")
         object.__setattr__(self, "matrix", U)

@@ -9,16 +9,16 @@ Labels are integers in range(k).  Alignment between an estimated and a true
 assignment solves the linear assignment problem on their k x k confusion
 matrix exactly (Jonker-Volgenant shortest augmenting paths), polynomial in
 k.  It runs through scipy.sparse.csgraph rather than
-scipy.optimize.linear_sum_assignment: on a 2-core machine, importing
-scipy.optimize added 0.12-0.18 s to a CLI process's start-up, and
-scipy.sparse.csgraph 4-8 ms.
+scipy.optimize.linear_sum_assignment, imported on the first call, so that
+only the kinds that align labels (the two studies) load it.  On a 2-core
+machine, once the sparse spectral step has loaded scipy.sparse.linalg,
+importing scipy.sparse.csgraph adds 3-5 ms and 1 MiB, scipy.optimize
+0.23-0.28 s and 17 MiB.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import DimensionMismatch, TooFewPoints
 from .rngs import substream
@@ -228,6 +228,9 @@ def align_labels(est, truth):
     true label j and hamming counts the disagreements after that matching.
     A maximum-weight matching on the confusion matrix, so exact at any k.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     if est.n != truth.n:
         raise DimensionMismatch(f"length mismatch {est.n} vs {truth.n}")
     if est.k != truth.k:

@@ -12,8 +12,6 @@ errors accordingly.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
-from scipy.linalg.blas import dsymv
 
 from .cluster import (
     ClusterAssignment,
@@ -174,6 +172,9 @@ def _symv_operator(Af):
     of Af.  Af.T is the F-contiguous view of the symmetric Af, so f2py
     passes it without copying; a C-ordered argument is copied per call.
     """
+    import scipy.sparse.linalg
+    from scipy.linalg.blas import dsymv
+
     Ft = Af.T
     return scipy.sparse.linalg.LinearOperator(
         Af.shape, matvec=lambda x: dsymv(1.0, Ft, x), dtype=float
@@ -186,6 +187,8 @@ def _leading_eigvecs(A, r, seed):
     Af = A.astype(float)
     if n <= DENSE_EIG_MAX or r >= n - 1:
         return _eig_by_magnitude(Af)[1][:, :r]
+    import scipy.sparse.linalg
+
     v0 = substream(seed, 7).standard_normal(n)
     lam, V = scipy.sparse.linalg.eigsh(_symv_operator(Af), k=r, which="LM", v0=v0)
     order = np.argsort(-np.abs(lam), kind="stable")

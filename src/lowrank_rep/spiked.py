@@ -400,6 +400,33 @@ def _log_size_prior(p, r, a_const, n):
 _GAMMA_CACHE = {}
 
 
+def _inside_unit_ball(A):
+    """Whether each matrix of the stack A (draws x s x r) has ||A_k||_2 < 1.
+
+    ||A_k||_2 < 1 exactly when I - G_k is positive definite, G_k the
+    smaller Gram matrix (A^T A, or A A^T when s < r).  One Cholesky runs
+    over the whole stack at once, each of the m(m+1)/2 entries a vector
+    over the draws, m = min(s, r); a draw is inside when every pivot is
+    > 0.  Draws already outside get pivot 1 so that no NaN is formed.
+    """
+    X = A if A.shape[1] >= A.shape[2] else A.swapaxes(1, 2)
+    m = X.shape[2]
+    cols = [X[:, :, j] for j in range(m)]
+    inside = np.ones(A.shape[0], dtype=bool)
+    L = {}
+    for j in range(m):
+        for i in range(j, m):
+            v = float(i == j) - np.einsum("ns,ns->n", cols[i], cols[j])
+            for k in range(j):
+                v -= L[i, k] * L[j, k]
+            if i == j:
+                inside &= v > 0.0
+                L[j, j] = np.sqrt(np.where(inside, v, 1.0))
+            else:
+                L[i, j] = v / L[j, j]
+    return inside
+
+
 def gamma_mc(size, r):
     """Monte Carlo estimate of gamma(|S|), the mass the unrestricted
     Laplace law of vec(A_S) puts on the spectral unit ball.
@@ -420,8 +447,7 @@ def gamma_mc(size, r):
     if key not in _GAMMA_CACHE:
         gen = substream(GAMMA_SEED, size, int(r))
         A = gen.laplace(0.0, LAPLACE_SCALE, size=(GAMMA_DRAWS, size, int(r)))
-        top = np.linalg.svd(A, compute_uv=False)[:, 0]
-        est = float(np.mean(top < 1.0))
+        est = float(np.mean(_inside_unit_ball(A)))
         se = math.sqrt(est * (1.0 - est) / float(GAMMA_DRAWS))
         _GAMMA_CACHE[key] = (est, se)
     return _GAMMA_CACHE[key]

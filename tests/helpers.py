@@ -7,8 +7,9 @@ Kronecker/Gamma Jacobian the oracle for the structured one, the dense d x d
 Fisher and a per-support loop the oracle for the block limit posterior, the
 dense Cholesky draw the oracle for the row-sparse spiked draw, a per-restart
 loop the oracle for the stacked k-means, float uniforms and Generator.normal
-the oracles for the samplers that avoid them, and an analytic bracket the
-oracle for the Monte Carlo Laplace ball mass.
+the oracles for the samplers that avoid them, an analytic bracket the
+oracle for the Monte Carlo Laplace ball mass, and a batched SVD the oracle
+for its stacked-Cholesky unit-ball test.
 """
 
 import math
@@ -189,6 +190,12 @@ def gamma_bounds(size, r):
     rs = float(int(r) * size)
     lower = math.exp(-0.5 * rs * math.log(rs) - (2.0 - math.log(2.0)) * rs)
     return lower, 1.0
+
+
+def svd_inside_unit_ball(A):
+    """Oracle for spiked._inside_unit_ball: one LAPACK SVD per matrix of
+    the stack A, inside when the largest singular value is < 1."""
+    return np.linalg.svd(A, compute_uv=False)[:, 0] < 1.0
 
 
 def loop_limit_posterior(Y, model, cap, a_const=1.0):

@@ -99,6 +99,18 @@ def test_chart_points_copy_their_coordinates():
             held[0] = 2.0
 
 
+def test_frame_copies_its_matrix():
+    # a frame that kept the caller's array would be zeroed after its checks
+    # passed, and cayley_inverse would then find no PD top block
+    U = np.eye(3)[:, :2].copy()
+    f = StiefelPlus(U)
+    U[:] = 0.0
+    assert np.array_equal(f.matrix, np.eye(3)[:, :2])
+    assert np.array_equal(cayley_inverse(f).values, np.zeros(2))
+    with pytest.raises(ValueError):
+        f.matrix[0, 0] = 2.0
+
+
 def memo_case(p, r, p1, norm, seed):
     """(theta, rect) sharing one phi with ||A||_2 = norm (0 when p = r)."""
     gen = rng(seed)

@@ -417,18 +417,55 @@ def test_scattered_means_match_selector_product(case):
         assert "-0" not in cells.split(",")
 
 
-def test_cli_import_leaves_out_scipy_special():
-    # scipy.special took 66-78 ms of every CLI process start
+# the layers perfbench/tracer.py reads from sys.modules when it traces a run
+LAYERS = (
+    "rngs",
+    "matkit",
+    "cayley",
+    "symrep",
+    "rectrep",
+    "cluster",
+    "sbm",
+    "gaussnewton",
+    "bicluster",
+    "mc",
+    "spiked",
+    "cli",
+)
+
+START_UP_PROBE = """
+import sys
+import lowrank_rep.cli as cli
+
+def scipy_loaded():
+    return [m for m in ("scipy.special", "scipy.sparse", "scipy.linalg") if m in sys.modules]
+
+print(scipy_loaded())
+bounds, spiked, out = sys.argv[1:]
+for kind, cfg in (("check-bounds", bounds), ("spiked-limit-posterior", spiked)):
+    assert cli.run([kind, "--config", cfg, "--out", out]) == 0, kind
+print(scipy_loaded())
+print(" ".join(m.split(".")[1] for m in sys.modules if m.startswith("lowrank_rep.")))
+"""
+
+
+def test_cli_import_leaves_out_scipy_special(tmp_path):
+    # importing scipy.sparse, scipy.linalg and scipy.special took 0.3 s and
+    # 31 MiB of every CLI process start; check-bounds and the spiked kind
+    # never call scipy, so they never load it
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    code = "import sys, lowrank_rep.cli; print('scipy.special' in sys.modules)"
+    bounds = write_config(tmp_path / "b.cfg", "p=4\nr=2\ndraws=2\nseed=1\n")
+    spiked = write_config(tmp_path / "s.cfg", SPIKED_CFG)
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", START_UP_PROBE, bounds, spiked, str(tmp_path / "o.csv")],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    after_import, after_jobs, layers = out.stdout.strip().splitlines()
+    assert after_import == after_jobs == "[]"
+    assert set(LAYERS) <= set(layers.split())
 
 
 # ---- bad values: every one is a config error (exit 2), found before the run ----

@@ -37,6 +37,7 @@ from lowrank_rep.matkit import (
     sin_theta,
     vech,
 )
+from lowrank_rep.rngs import substream
 from lowrank_rep.spiked import (
     LimitPosterior,
     PosteriorComponent,
@@ -45,6 +46,7 @@ from lowrank_rep.spiked import (
     _enumerate_supports,
     _frame_of_rows,
     _information,
+    _inside_unit_ball,
     _log_size_prior,
     _omega_min_eig,
     fisher_spiked,
@@ -75,6 +77,7 @@ from helpers import (
     random_theta_sym,
     rng,
     sample_gaussian,
+    svd_inside_unit_ball,
 )
 
 
@@ -524,6 +527,51 @@ def test_gamma_empty_support_is_one():
 
 def test_gamma_cached_and_deterministic():
     assert gamma_mc(2, 1) == gamma_mc(2, 1)
+
+
+@pytest.mark.parametrize("size, r", [(1, 1), (4, 1), (1, 3), (2, 3), (3, 3), (5, 2)])
+def test_gamma_unit_ball_matches_svd_at_its_draws(size, r):
+    # |S| = 1, r = 1, and |S| below, at and above r, at gamma_mc's own draws
+    gen = substream(spiked.GAMMA_SEED, size, r)
+    A = gen.laplace(0.0, spiked.LAPLACE_SCALE, size=(spiked.GAMMA_DRAWS, size, r))
+    inside = svd_inside_unit_ball(A)
+    assert np.array_equal(_inside_unit_ball(A), inside)
+    assert gamma_mc(size, r)[0] == float(np.mean(inside))
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A stack of s x r Laplace matrices, s, r <= 4, spread around ||A||_2 = 1."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    return gen.laplace(0.0, draw(st.floats(0.05, 1.0)), size=shape)
+
+
+# ||A||_2 = 1 exactly, as a square, a wide and a tall matrix
+UNIT_NORM = (
+    np.array([[[1.0, 0.0], [0.0, 0.5]], [[0.0, -0.5], [-1.0, 0.0]]]),
+    np.full((1, 1, 4), 0.5),
+    np.full((1, 4, 1), 0.5),
+)
+
+
+def test_unit_ball_edges():
+    # open ball: the unit sphere is outside, 1e-9 inside it is inside
+    assert _inside_unit_ball(np.zeros((1, 2, 3))).all()
+    for A in UNIT_NORM:
+        assert not _inside_unit_ball(A).any()
+        assert _inside_unit_ball((1.0 - 1e-9) * A).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=matrix_stacks())
+@example(A=np.zeros((1, 2, 3)))
+@example(A=UNIT_NORM[0])
+@example(A=UNIT_NORM[1])
+@example(A=UNIT_NORM[2])
+@example(A=(1.0 - 1e-9) * UNIT_NORM[0])
+def test_unit_ball_matches_svd(A):
+    assert np.array_equal(_inside_unit_ball(A), svd_inside_unit_ball(A))
 
 
 # ---- limit posterior ----

@@ -536,10 +536,11 @@ def _run_bicluster_sim(cfg, seed_override, out_override):
 
 def _mean_cells(comp, d):
     """A component's mean_1..mean_d cells, joined: its support mean in the
-    support's columns and 0 elsewhere, the bytes of selector @ mean.  The
-    dense product starts every sum from +0.0, so a -0.0 entry of the mean
-    prints as 0; adding 0.0 does the same here.  The support's columns
-    ascend, so the cells between two of them are one run of '0,'.
+    support's columns and 0 elsewhere, the bytes of the dense product of
+    the d x d_S 0/1 selector with the mean.  That product starts every sum
+    from +0.0, so a -0.0 entry of the mean prints as 0; adding 0.0 does the
+    same here.  The support's columns ascend, so the cells between two of
+    them are one run of '0,'.
     """
     parts = []
     prev = -1

@@ -50,7 +50,6 @@ __all__ = [
     "block_mean_estimator",
     "clip_probabilities",
     "project_to_manifold",
-    "sbm_log_likelihood",
     "sbm_score",
     "sbm_fisher",
     "one_step",
@@ -115,8 +114,8 @@ class BlockCounts:
     """Edge counts m[s,t] and pair counts npairs[s,t] over ordered index
     pairs (i, j), i != j, with labels (s, t): m = Z^T A Z and npairs =
     n n^T - diag(n) for class sizes n, both symmetric int64.  Every
-    unordered pair is counted twice, hence the factor 1/2 in the
-    log-likelihood, score and Fisher."""
+    unordered pair is counted twice, hence the factor 1/2 in the score
+    and Fisher."""
 
     m: np.ndarray = field(repr=False)
     npairs: np.ndarray = field(repr=False)
@@ -283,14 +282,6 @@ def _checked_probs(theta):
             f"({PROB_EPS}, {1 - PROB_EPS})"
         )
     return S
-
-
-def sbm_log_likelihood(theta, counts):
-    """Bernoulli log-likelihood of the graph given labels, each pair i<j once:
-    half the sum over the ordered-pair tally."""
-    S = _checked_probs(theta)
-    m, npairs = counts.m, counts.npairs
-    return 0.5 * float(np.sum(m * np.log(S) + (npairs - m) * np.log1p(-S)))
 
 
 def sbm_score(theta, counts):

@@ -1,11 +1,16 @@
-"""Sparse spiked covariance model on the chart: Omega(theta) = Sigma(theta) + I.
+"""Sparse spiked covariance model on the chart: Omega(theta) = I + U M U^T.
 
-Pieces, in dependency order: the induced covariance map and Gaussian
-sampling, the log-likelihood and its per-sample Fisher information, the
-sparsity prior over supports of A, and the limiting mixture-of-normals
-posterior over (support, chart coordinates) together with a sampler and
-two seeded diagnostics (local-asymptotic-normality remainder, sin-theta
-tail fractions).
+Pieces, in dependency order: the Gaussian data draw, the log-likelihood
+and its per-sample Fisher information, the sparsity prior over supports of
+A, and the limiting mixture-of-normals posterior over (support, chart
+coordinates) together with a sampler and two seeded diagnostics
+(local-asymptotic-normality remainder, sin-theta tail fractions).
+
+U has orthonormal columns and is zero outside the rows N (the top r, and
+r + a for each nonzero row a of A), so Omega is read through the r x r
+core: the PD gate is on I + M, Omega^{-1} = I - U M (I + M)^{-1} U^T by
+Woodbury, and the data enter as the p x n matrix Y.  No function here
+forms a p x p matrix; fisher_spiked alone assembles a dense d x d one.
 
 Scaling convention used throughout the posterior block: the information
 attached to a support S is the full-sample quantity n F_S^T I_per F_S,
@@ -33,7 +38,7 @@ from .errors import (
 )
 from .matkit import _sin_theta_spectral, duplication_matrix, kron
 from .rngs import generator, replicate_seed, substream
-from .symrep import ThetaSym, sigma_of_theta
+from .symrep import ThetaSym
 
 # Hard cap on the number of enumerated supports.
 ENUM_MAX = 100_000
@@ -42,6 +47,7 @@ ENUM_MAX = 100_000
 # The seed is internal so cached estimates are identical across runs.
 GAMMA_DRAWS = 100_000
 GAMMA_SEED = 20_260_822
+GAMMA_BLOCK = 2**14  # draws held at once; the stream is read in order
 LAPLACE_SCALE = 0.5  # density exp(-2|x|) per coordinate
 
 
@@ -104,11 +110,11 @@ class SpikedModel:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """A sorted subset S of the free rows of A, with its coordinate selector.
+    """A sorted subset S of the free rows of A.
 
-    The selector F is the 0/1 matrix of shape d x d_S whose columns pick
-    the phi coordinates of the rows in S (column-major over the columns
-    of A) followed by all of mu, so theta_S = F^T theta.
+    Its coordinates theta_S are the phi coordinates of the rows in S
+    (column-major over the columns of A) followed by all of mu, at the
+    positions `columns` of theta.
     """
 
     p: int
@@ -142,14 +148,6 @@ class SupportSet:
         cols.extend(range(n_phi, n_phi + self.r * (self.r + 1) // 2))
         return cols
 
-    @property
-    def selector(self):
-        d = (self.p - self.r) * self.r + self.r * (self.r + 1) // 2
-        F = np.zeros((d, self.dim))
-        for k, c in enumerate(self.columns):
-            F[c, k] = 1.0
-        return F
-
 
 @dataclass(frozen=True)
 class PosteriorComponent:
@@ -165,8 +163,8 @@ class PosteriorComponent:
 class LimitPosterior:
     """Mixture of support-restricted normals over chart coordinates.
 
-    Off-support coordinates carry a point mass at zero, so a draw is the
-    selector image of a Gaussian draw in the selected coordinates.
+    Off-support coordinates carry a point mass at zero, so a draw is a
+    Gaussian draw in the support's columns and zero elsewhere.
     """
 
     p: int
@@ -221,24 +219,6 @@ class LimitPosterior:
 # =====================================================================
 
 
-def _omega_min_eig(theta):
-    # smallest eigenvalue of Sigma(theta) + I from the r x r core: U has
-    # orthonormal columns, so the spectrum is 1 + lambda(M), and also 1 when
-    # r < p
-    lam_min = 1.0 + float(np.linalg.eigvalsh(theta.core)[0])
-    return lam_min if theta.r == theta.p else min(lam_min, 1.0)
-
-
-def omega_of_theta(theta):
-    """Covariance Sigma(theta) + I, verified positive definite."""
-    lam_min = _omega_min_eig(theta)
-    if lam_min <= 0.0:
-        raise NotPositiveDefinite(
-            f"Sigma(theta) + I has smallest eigenvalue {lam_min:.3e} <= 0"
-        )
-    return sigma_of_theta(theta) + np.eye(theta.p)
-
-
 def sample_data(theta, n, seed):
     """p x n data: n iid centered Gaussian columns with covariance Omega(theta).
 
@@ -260,16 +240,28 @@ def sample_data(theta, n, seed):
     return Y
 
 
-def log_likelihood(omega, omega_hat, n):
-    """Gaussian log-likelihood -(n/2) logdet(2 pi Omega) - (n/2) tr(Omega_hat Omega^{-1})."""
-    omega = np.asarray(omega, dtype=float)
-    omega_hat = np.asarray(omega_hat, dtype=float)
-    sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0.0:
-        raise NotPositiveDefinite("likelihood needs a PD covariance")
-    p = omega.shape[0]
-    trace_term = float(np.trace(np.linalg.solve(omega, omega_hat)))
-    return -(n / 2.0) * (p * math.log(2.0 * math.pi) + logdet) - (n / 2.0) * trace_term
+def log_likelihood(theta, Y):
+    """Gaussian log-likelihood of the p x n data Y under Omega(theta):
+    -(n/2) (p log 2 pi + logdet Omega + tr(Omega^{-1} Y Y^T / n)).
+
+    logdet Omega = logdet(I + M), and by Woodbury n tr(Omega^{-1} Y Y^T / n)
+    = ||Y||_F^2 - tr(M (I + M)^{-1} W^T W) with W = Y[N]^T U[N].  One eigh
+    I + M = Q diag(lam) Q^T gives the PD gate, the logdet, and that trace
+    term as sum_j (1 - 1/lam_j) ||W Q_j||^2: O(|N| n r) after the O(p n)
+    norm.
+    """
+    if np.ndim(Y) != 2 or Y.shape[0] != theta.p:
+        raise DimensionMismatch(f"data shape {np.shape(Y)} needs {theta.p} rows")
+    p, n = Y.shape
+    U = theta.phi.frame.matrix
+    lam, Q = np.linalg.eigh(np.eye(theta.r) + theta.core)
+    if lam[0] <= 0.0:
+        raise NotPositiveDefinite(f"I + M has eigenvalue {lam[0]:.3e} <= 0")
+    rows = np.flatnonzero(U.any(axis=1))
+    WQ = Y[rows].T @ (U[rows] @ Q)
+    n_trace = float(np.vdot(Y, Y)) - float((1.0 - 1.0 / lam) @ (WQ * WQ).sum(axis=0))
+    logdet = float(np.log(lam).sum())
+    return -(n / 2.0) * (p * math.log(2.0 * math.pi) + logdet) - n_trace / 2.0
 
 
 def _active_rows(A):
@@ -435,8 +427,10 @@ def gamma_mc(size, r):
     the restricted-Laplace normalizer equals the probability that a
     |S| x r matrix of iid Laplace(scale 1/2) entries has spectral norm
     below 1, estimated from GAMMA_DRAWS matrices drawn from a stream of
-    GAMMA_SEED.  Returns (estimate, standard error); cached per (size, r),
-    and deterministic because the seed is fixed.
+    GAMMA_SEED.  The draws are made and tested GAMMA_BLOCK at a time, in
+    stream order, so they are the values one call for all of them gives.
+    Returns (estimate, standard error); cached per (size, r), and
+    deterministic because the seed is fixed.
     """
     size = int(size)
     if size < 0:
@@ -446,8 +440,13 @@ def gamma_mc(size, r):
     key = (size, int(r))
     if key not in _GAMMA_CACHE:
         gen = substream(GAMMA_SEED, size, int(r))
-        A = gen.laplace(0.0, LAPLACE_SCALE, size=(GAMMA_DRAWS, size, int(r)))
-        est = float(np.mean(_inside_unit_ball(A)))
+        inside = 0
+        for start in range(0, GAMMA_DRAWS, GAMMA_BLOCK):
+            shape = (min(GAMMA_BLOCK, GAMMA_DRAWS - start), size, int(r))
+            # no name holds a block, so only one is alive at a time
+            hit = _inside_unit_ball(gen.laplace(0.0, LAPLACE_SCALE, size=shape))
+            inside += int(np.count_nonzero(hit))
+        est = inside / GAMMA_DRAWS
         se = math.sqrt(est * (1.0 - est) / float(GAMMA_DRAWS))
         _GAMMA_CACHE[key] = (est, se)
     return _GAMMA_CACHE[key]
@@ -577,6 +576,12 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
             quad += quad_rows[rows_Z].sum(axis=1)
             logdet += z * logdet_B
         gamma_est, _ = gamma_mc(size, r)
+        if gamma_est == 0.0:
+            raise ConfigError(
+                f"gamma(|S|) is 0 at |S|={size}, r={r}: none of the "
+                f"GAMMA_DRAWS={GAMMA_DRAWS} Laplace draws lies inside the "
+                f"unit ball; lower cap below {size}"
+            )
         log_prior = (
             log_size_prior[size]
             - math.log(math.comb(pmr, size))
@@ -678,14 +683,13 @@ def lan_remainder(theta, theta0, Y):
     with delta = theta - theta0 and Omega_hat = Y Y^T / n.  Exactly zero
     at theta = theta0, and invariant under adding a constant to the
     log-likelihood because only the difference of two evaluations enters.
+    The likelihoods, score and information all read Y itself, so no
+    p x p array is formed.
     """
     if (theta.p, theta.r) != (theta0.p, theta0.r):
         raise DimensionMismatch("chart points live on different (p, r)")
+    diff = log_likelihood(theta, Y) - log_likelihood(theta0, Y)
     n = Y.shape[1]
-    omega_hat = Y @ Y.T / n
-    diff = log_likelihood(omega_of_theta(theta), omega_hat, n) - log_likelihood(
-        omega_of_theta(theta0), omega_hat, n
-    )
     F_J, B, g = _information(theta0, Y)
     delta = theta.as_vector() - theta0.as_vector()
     # delta^T I_per delta from the blocks: the active coordinates against

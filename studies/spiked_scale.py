@@ -7,10 +7,13 @@ Times the data draw `sample_data` and a warm `limit_posterior` at the
 spiked-p48 benchmark truth grown to dimension p (r=2, n=400, rows 1 and 4
 of A0 active, cap=3, so p - 3 components) for p = 256, 512, 1024, 2048 and
 4096, and records the posterior's tracemalloc peak.  The block
-`_information` is timed next to the dense d x d oracle of tests/helpers.py,
-the "before"; the oracle runs only at p <= 1024, because its time grows as
-p^3 and its memory as p^2, and only where the test dependencies that
-tests/helpers.py imports (hypothesis) are installed.  At every p a fresh
+`_information` is timed next to the dense d x d oracle of tests/helpers.py
+at the dense Omega of the same file, the "before"; the oracle runs only at
+p <= 1024, because its time grows as p^3 and its memory as p^2, and only
+where the test dependencies that tests/helpers.py imports (hypothesis) are
+installed.  `lan_remainder` is timed at the first alternative that
+`lan_remainder_study` builds at base seed 0: theta0 + u / sqrt(n) for its
+unit direction u, on its data draw.  At every p a fresh
 process also runs the same truth end to end through `lowrank_rep.cli.run`
 (spiked-limit-posterior, seed 0): one untimed job to load the imports and
 the gamma cache, then the median of three timed jobs; its ru_maxrss is the
@@ -119,15 +122,19 @@ def _fresh_cli_job(p, env):
 
 def measure():
     """One row per p of P_VALUES, in this process."""
+    import numpy as np
+
+    from lowrank_rep.rngs import replicate_seed, substream
     from lowrank_rep.spiked import (
         _information,
+        lan_remainder,
         limit_posterior,
-        omega_of_theta,
         sample_data,
     )
+    from lowrank_rep.symrep import ThetaSym
 
     try:
-        from helpers import dense_information
+        from helpers import dense_information, omega_of_theta
     except ImportError as exc:
         print(f"no dense oracle: {exc}", file=sys.stderr)
         dense_information = None
@@ -148,6 +155,14 @@ def measure():
             "limit_posterior_peak_mib": _peak_mib(posterior),
             "information_s": _timed(lambda: _information(theta, Y), repeats),
         }
+        # replicate 0 of lan_remainder_study(theta, [n], 1, 0)
+        seed = replicate_seed(0, 0)
+        u = substream(seed, 5).standard_normal(theta.d)
+        u /= np.linalg.norm(u)
+        alt = ThetaSym.from_vector(p, 2, theta.as_vector() + u / math.sqrt(model.n))
+        Y_lan = sample_data(theta, model.n, seed)
+        lan = lambda: lan_remainder(alt, theta, Y_lan)  # noqa: E731
+        row["lan_remainder_s"] = _timed(lan, repeats)
         if dense_information is not None and p <= DENSE_P_MAX:
             omega, omega_hat = omega_of_theta(theta), Y @ Y.T / model.n
             dense = lambda: dense_information(theta, omega, omega_hat)  # noqa: E731
@@ -198,6 +213,7 @@ def main(argv=None):
                 f"limit_posterior={row['limit_posterior_s']:.4f}s "
                 f"peak={row['limit_posterior_peak_mib']:.1f}MiB "
                 f"information={row['information_s']:.4f}s dense={dense:.4f}s "
+                f"lan_remainder={row['lan_remainder_s']:.4f}s "
                 f"cli_job={row.get('cli_job_s', math.nan):.3f}s "
                 f"rss={row.get('cli_peak_rss_mib', math.nan):.0f}MiB"
             )

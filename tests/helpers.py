@@ -3,9 +3,13 @@
 Finite differences here are the independent check on every hand-derived
 Jacobian: plain central differences, no reuse of package derivative code.
 The dense (I - X) solve is the oracle for the closed-form frame, the dense
-Kronecker/Gamma Jacobian the oracle for the structured one, the dense d x d
-Fisher and a per-support loop the oracle for the block limit posterior, the
-dense Cholesky draw the oracle for the row-sparse spiked draw, a per-restart
+Kronecker/Gamma Jacobian the oracle for the structured one, the dense p x p
+Omega and its slogdet and solve the oracle for the chart log-likelihood of
+the spiked model, the dense d x d Fisher and a per-support loop the oracle
+for the block limit posterior, the dense 0/1 selector the oracle for the
+scattered component means, the dense Cholesky draw the oracle for the
+row-sparse spiked draw, the sum over the block tally the oracle for the
+block-model score, a per-restart
 loop the oracle for the stacked k-means, float uniforms and Generator.normal
 the oracles for the samplers that avoid them, an analytic bracket the
 oracle for the Monte Carlo Laplace ball mass, and a batched SVD the oracle
@@ -17,7 +21,16 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from lowrank_rep import Phi, ThetaRect, ThetaSym, gamma_matrix, kron, vech
+from lowrank_rep import (
+    Phi,
+    ThetaRect,
+    ThetaSym,
+    gamma_matrix,
+    kron,
+    sigma_of_theta,
+    vech,
+)
+from lowrank_rep.errors import NotPositiveDefinite
 from lowrank_rep.rngs import generator, substream
 
 # Largest ||A||_2 drawn by the chart property tests: far inside the 1e-12
@@ -128,6 +141,59 @@ def dense_cayley_jacobian(phi):
     return 2.0 * kron(S[:, :r].T, S) @ gamma_matrix(p, r)
 
 
+def omega_min_eig(theta):
+    """Smallest eigenvalue of Sigma(theta) + I from the r x r core: U has
+    orthonormal columns, so the spectrum is 1 + lambda(M), and also 1 when
+    r < p."""
+    lam_min = 1.0 + float(np.linalg.eigvalsh(theta.core)[0])
+    return lam_min if theta.r == theta.p else min(lam_min, 1.0)
+
+
+def omega_of_theta(theta):
+    """The dense p x p covariance Sigma(theta) + I of the spiked model,
+    verified positive definite by omega_min_eig."""
+    lam_min = omega_min_eig(theta)
+    if lam_min <= 0.0:
+        raise NotPositiveDefinite(
+            f"Sigma(theta) + I has smallest eigenvalue {lam_min:.3e} <= 0"
+        )
+    return sigma_of_theta(theta) + np.eye(theta.p)
+
+
+def dense_log_likelihood(omega, omega_hat, n):
+    """Oracle for spiked.log_likelihood: the Gaussian log-likelihood
+    -(n/2) logdet(2 pi Omega) - (n/2) tr(Omega_hat Omega^{-1}) from the
+    dense slogdet and solve of the p x p omega."""
+    omega = np.asarray(omega, dtype=float)
+    omega_hat = np.asarray(omega_hat, dtype=float)
+    sign, logdet = np.linalg.slogdet(omega)
+    if sign <= 0.0:
+        raise NotPositiveDefinite("likelihood needs a PD covariance")
+    p = omega.shape[0]
+    trace_term = float(np.trace(np.linalg.solve(omega, omega_hat)))
+    return -(n / 2.0) * (p * math.log(2.0 * math.pi) + logdet) - (n / 2.0) * trace_term
+
+
+def selector(support):
+    """The d x d_S 0/1 matrix F whose columns pick the coordinates of a
+    spiked.SupportSet out of theta, so theta_S = F^T theta."""
+    d = (support.p - support.r) * support.r + support.r * (support.r + 1) // 2
+    F = np.zeros((d, support.dim))
+    F[support.columns, np.arange(support.dim)] = 1.0
+    return F
+
+
+def sbm_log_likelihood(theta, counts):
+    """Oracle for sbm.sbm_score: the Bernoulli log-likelihood of the graph
+    given labels, each pair i<j once, as half the sum over the ordered-pair
+    tally; sbm's probability range guard applies."""
+    from lowrank_rep.sbm import _checked_probs
+
+    S = _checked_probs(theta)
+    m, npairs = counts.m, counts.npairs
+    return 0.5 * float(np.sum(m * np.log(S) + (npairs - m) * np.log1p(-S)))
+
+
 def dense_information(theta, omega, omega_hat=None):
     """Oracle for spiked._information: the dense d x d per-sample Fisher
     (1/2) DSigma^T (K kron K) DSigma and the score DSigma^T vec(K (omega_hat
@@ -209,7 +275,6 @@ def loop_limit_posterior(Y, model, cap, a_const=1.0):
         _enumerate_supports,
         _log_size_prior,
         gamma_mc,
-        omega_of_theta,
     )
 
     theta0 = model.theta0

@@ -1,10 +1,11 @@
 """End-to-end tests of the command line front end.
 
-Every test but the bad-value table shells out to `python3 -m lowrank_rep.cli`
-the way a user would, so argument handling, exit codes, and the CSV contract
-are all exercised through the real entry point.  The bad-value table calls
-`cli.run` in-process, so that an exception escaping it fails the test rather
-than showing up as exit status 1, the status of a failed gate.
+Every test but the bad-value table and the zero-gamma case shells out to
+`python3 -m lowrank_rep.cli` the way a user would, so argument handling, exit
+codes, and the CSV contract are all exercised through the real entry point.
+Those two call `cli.run` in-process, so that an exception escaping it fails
+the test rather than showing up as exit status 1, the status of a failed
+gate.
 """
 
 import contextlib
@@ -24,6 +25,8 @@ import lowrank_rep
 from lowrank_rep import cayley, cli
 from lowrank_rep.rngs import substream
 from lowrank_rep.spiked import PosteriorComponent, SupportSet
+
+from helpers import selector
 
 # the child imports the same package as this process, installed or not
 PACKAGE_ROOT = str(Path(lowrank_rep.__file__).resolve().parents[1])
@@ -385,6 +388,27 @@ def test_spiked_enumeration_blowup_exits_three(tmp_path):
     assert "numerical failure" in out.stderr
 
 
+def test_spiked_zero_gamma_exits_two(tmp_path, capsys):
+    # p=16, r=3, one active row, cap=12: no Laplace draw of a support of
+    # size 10 lies inside the unit ball, so gamma(10) is 0 and the weight of
+    # such a support has no logarithm
+    A0 = np.zeros((13, 3))
+    A0[1] = (0.3, 0.1, 0.2)
+    text = (
+        f"p=16\nr=3\nA0={','.join(map(repr, A0.ravel().tolist()))}\n"
+        "mu=2,0,0,2,0,2\nn=200\ncap=12\n"
+    )
+    cfg = write_config(tmp_path / "c.cfg", text)
+    out_csv = tmp_path / "lp.csv"
+    argv = ["spiked-limit-posterior", "--config", cfg, "--out", str(out_csv)]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    for part in ("|S|=10", "r=3", "GAMMA_DRAWS", "lower cap"):
+        assert part in err
+    assert not out_csv.exists()
+
+
 _MEAN_ENTRIES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(
@@ -412,7 +436,7 @@ def test_scattered_means_match_selector_product(case):
     comps, d = case
     for comp in comps:
         cells = cli._mean_cells(comp, d)
-        dense = comp.support.selector @ comp.mean
+        dense = selector(comp.support) @ comp.mean
         assert cells == ",".join("%.17g" % v for v in dense)
         assert "-0" not in cells.split(",")
 

@@ -46,14 +46,13 @@ from lowrank_rep.sbm import (
     sample_adjacency,
     sbm_experiment,
     sbm_fisher,
-    sbm_log_likelihood,
     sbm_score,
     spectral_cluster_sbm,
 )
 from lowrank_rep.sbm import _leading_eigvecs, _symv_operator
 from lowrank_rep.symrep import ThetaSym, dsigma, sigma_of_theta, theta_of_sigma
 
-from helpers import fd_jacobian, float_sample_adjacency, rng
+from helpers import fd_jacobian, float_sample_adjacency, rng, sbm_log_likelihood
 
 # rank-2 K=3 block matrix with entries well inside (0,1)
 SIGMA_R2 = np.outer([0.7, 0.5, 0.6], [0.7, 0.5, 0.6]) + 0.1 * np.outer(

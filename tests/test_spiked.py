@@ -1,13 +1,14 @@
 """Spiked covariance tests.
 
-Oracles: hand-evaluated covariance and likelihood values, finite
-differences for the score and Hessian, the direct Kronecker assembly of
-the Fisher matrix, the least-squares (projection) characterization of
-the component means, binomial/CLT bands for the Monte Carlo pieces, and
-the analytic bracket plus closed form for the Laplace ball mass at a
-single entry, the dense Cholesky draw of helpers.py for the row-sparse data
-draw, and the per-support loop of helpers.py for the stacked limit
-posterior.
+Oracles: hand-evaluated covariance and likelihood values, the dense p x p
+Omega, slogdet and solve of helpers.py for the chart log-likelihood,
+finite differences for the score and Hessian, the direct Kronecker
+assembly of the Fisher matrix, the least-squares (projection)
+characterization of the component means, binomial/CLT bands for the Monte
+Carlo pieces, and the analytic bracket plus closed form for the Laplace
+ball mass at a single entry, the dense Cholesky draw of helpers.py for the
+row-sparse data draw, and the per-support loop of helpers.py for the
+stacked limit posterior.
 """
 
 import math
@@ -48,14 +49,12 @@ from lowrank_rep.spiked import (
     _information,
     _inside_unit_ball,
     _log_size_prior,
-    _omega_min_eig,
     fisher_spiked,
     gamma_mc,
     lan_remainder,
     lan_remainder_study,
     limit_posterior,
     log_likelihood,
-    omega_of_theta,
     sample_data,
     sample_limit_posterior,
     sin_theta_tail,
@@ -64,19 +63,24 @@ from lowrank_rep.spiked import (
 from lowrank_rep.symrep import ThetaSym, dsigma, sigma_of_theta
 
 from helpers import (
+    EDGE_NORM,
     chart_points,
     dense_cayley_frame,
     dense_cayley_jacobian,
     dense_information,
+    dense_log_likelihood,
     edge_point,
     fd_jacobian,
     gamma_bounds,
     loop_limit_posterior,
     loop_sample_limit_posterior,
+    omega_min_eig,
+    omega_of_theta,
     random_core_sym,
     random_theta_sym,
     rng,
     sample_gaussian,
+    selector,
     svd_inside_unit_ball,
 )
 
@@ -151,7 +155,7 @@ def test_selector_picks_support_rows_then_core():
     # p=5, r=2: free rows {0,1,2}; S={0,2} selects phi positions
     # {0, 2, 3, 5} (column-major) and all three core coordinates.
     S = SupportSet(5, 2, (0, 2))
-    F = S.selector
+    F = selector(S)
     assert F.shape == (9, 7)
     picked = F.T @ np.arange(9.0)
     assert picked.tolist() == [0.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0]
@@ -162,6 +166,7 @@ def test_selector_empty_support_keeps_core_only():
     S = SupportSet(5, 2, ())
     assert S.dim == 3
     assert S.columns == [6, 7, 8]
+    assert np.array_equal(selector(S), np.eye(9)[:, 6:])
 
 
 # ---- covariance map and sampling ----
@@ -203,18 +208,23 @@ def test_omega_rejects_indefinite():
 @settings(max_examples=100, deadline=None)
 def test_omega_gate_matches_dense_eigenvalues(point, max_mag):
     # the r x r core gives the smallest eigenvalue of Sigma + I; cores with
-    # negative eigenvalues below -1 make it indefinite
+    # negative eigenvalues below -1 make it indefinite.  The chart
+    # likelihood's I + M gate fires exactly where the dense Omega is not PD
     phi, gen = point
     theta = ThetaSym(phi, vech(random_core_sym(gen, phi.r, max_mag=max_mag)))
     dense = float(
         np.linalg.eigvalsh(sigma_of_theta(theta) + np.eye(phi.p)).min()
     )
-    assert abs(_omega_min_eig(theta) - dense) <= 1e-12
+    assert abs(omega_min_eig(theta) - dense) <= 1e-12
+    Y = gen.normal(size=(phi.p, 3))
     if dense > 1e-9:
         omega_of_theta(theta)
+        log_likelihood(theta, Y)
     elif dense < -1e-9:
         with pytest.raises(NotPositiveDefinite):
             omega_of_theta(theta)
+        with pytest.raises(NotPositiveDefinite):
+            log_likelihood(theta, Y)
 
 
 def test_sample_cov_concentrates():
@@ -287,44 +297,126 @@ def test_sample_data_matches_dense_cholesky_draw(theta, n, seed):
 
 
 def test_log_likelihood_hand_value():
-    # p=1, n=2, Omega = Omega_hat = 1
-    val = log_likelihood(np.eye(1), np.eye(1), 2)
+    # p=1, n=2, Omega = Omega_hat = 1: the dense formula, and the chart
+    # form at p = r = 1 with a zero core and data (1, 1)
+    val = dense_log_likelihood(np.eye(1), np.eye(1), 2)
     assert abs(val - (-math.log(2.0 * math.pi) - 1.0)) < 1e-14
+    theta = ThetaSym(Phi(1, 1, np.zeros(0)), [0.0])
+    chart = log_likelihood(theta, np.ones((1, 2)))
+    assert abs(chart - (-math.log(2.0 * math.pi) - 1.0)) < 1e-14
 
 
 def test_log_likelihood_peaks_at_sample_cov():
     gen = rng(12)
     B = gen.standard_normal((3, 3))
     omega_hat = B @ B.T + 0.5 * np.eye(3)
-    best = log_likelihood(omega_hat, omega_hat, 6)
+    best = dense_log_likelihood(omega_hat, omega_hat, 6)
     for _ in range(20):
         E = gen.standard_normal((3, 3))
         E = 0.05 * (E + E.T)
-        assert log_likelihood(omega_hat + E, omega_hat, 6) < best
+        assert dense_log_likelihood(omega_hat + E, omega_hat, 6) < best
 
 
 def test_log_likelihood_linear_in_n():
+    # the dense formula in n at a fixed Omega_hat, and the chart form on
+    # the data repeated five times, which keeps Y Y^T / n
     gen = rng(13)
     B = gen.standard_normal((4, 4))
     omega_hat = B @ B.T + np.eye(4)
-    one = log_likelihood(np.eye(4) * 1.7, omega_hat, 2)
-    five = log_likelihood(np.eye(4) * 1.7, omega_hat, 10)
+    one = dense_log_likelihood(np.eye(4) * 1.7, omega_hat, 2)
+    five = dense_log_likelihood(np.eye(4) * 1.7, omega_hat, 10)
+    assert abs(five - 5.0 * one) < 1e-12 * abs(five)
+    theta = canonical_theta()
+    Y = gen.standard_normal((8, 3))
+    one = log_likelihood(theta, Y)
+    five = log_likelihood(theta, np.tile(Y, 5))
     assert abs(five - 5.0 * one) < 1e-12 * abs(five)
 
 
 def test_log_likelihood_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
-        log_likelihood(np.diag([1.0, -1.0]), np.eye(2), 3)
+        dense_log_likelihood(np.diag([1.0, -1.0]), np.eye(2), 3)
+    # Omega = diag(-1, 1): I + M = -1
+    with pytest.raises(NotPositiveDefinite):
+        log_likelihood(ThetaSym(Phi(2, 1, [0.0]), [-2.0]), np.ones((2, 3)))
+
+
+def test_log_likelihood_rejects_data_of_wrong_shape():
+    theta = canonical_theta()
+    for bad in (np.ones((7, 5)), np.ones((9, 5)), np.ones(8)):
+        with pytest.raises(DimensionMismatch):
+            log_likelihood(theta, bad)
+        with pytest.raises(DimensionMismatch):
+            lan_remainder(theta, theta, bad)
+
+
+@st.composite
+def likelihood_cases(draw):
+    """(theta, Y): r in 1..3, p in r..12, a random set of exactly zero rows
+    of A, a symmetric core whose eigenvalues keep I + M at least 0.2 from
+    singular (either sign), and n in 1..30 columns of Gaussian data."""
+    r = draw(st.integers(1, 3))
+    p = draw(st.integers(r, 12))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    A = gen.normal(size=(p - r, r))
+    if p > r:
+        A[draw(st.lists(st.integers(0, p - r - 1), unique=True))] = 0.0
+    if A.any():
+        A *= draw(st.floats(0.0, EDGE_NORM)) / np.linalg.norm(A, 2)
+    lam = [
+        draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 0.8))
+        if draw(st.booleans())
+        else draw(st.floats(-3.0, -1.2) | st.floats(1.2, 3.0))
+        for _ in range(r)
+    ]
+    Q, _ = np.linalg.qr(gen.normal(size=(r, r)))
+    core = (Q * lam) @ Q.T
+    theta = ThetaSym(Phi(p, r, A.ravel(order="F")), vech(0.5 * (core + core.T)))
+    return theta, gen.normal(size=(p, draw(st.integers(1, 30))))
+
+
+def _likelihood_case(p, r, A, core, n, seed):
+    theta = ThetaSym(Phi(p, r, np.ravel(A, order="F")), vech(np.asarray(core)))
+    return theta, rng(seed).normal(size=(p, n))
+
+
+# p=9, r=2 with rows 0, 2, 3 and 5 of A exactly zero
+_ZERO_ROWS_A = np.zeros((7, 2))
+_ZERO_ROWS_A[[1, 4, 6]] = [[0.3, -0.2], [0.1, 0.4], [-0.25, 0.05]]
+
+
+@given(likelihood_cases())
+@example(_likelihood_case(3, 3, np.zeros(0), np.diag([2.0, 0.5, -0.4]), 7, 1))
+@example(_likelihood_case(9, 2, _ZERO_ROWS_A, np.diag([1.5, 0.7]), 11, 2))
+@example((canonical_theta(), rng(3).normal(size=(8, 1))))
+@example(_likelihood_case(5, 2, 0.2 * np.ones(6), [[-0.6, 0.2], [0.2, 1.4]], 6, 4))
+@example(_likelihood_case(4, 2, 0.2 * np.ones(4), np.diag([-2.0, 1.0]), 4, 5))
+@settings(max_examples=200, deadline=None)
+def test_chart_log_likelihood_matches_dense(case):
+    # the Woodbury form on the rows where U is nonzero against the dense
+    # slogdet and solve of Omega; where I + M is not PD, both refuse.  The
+    # examples: p = r, exactly zero rows of A, n = 1, an indefinite M with
+    # I + M PD, and an I + M that is not PD
+    theta, Y = case
+    n = Y.shape[1]
+    if np.linalg.eigvalsh(np.eye(theta.r) + theta.core)[0] <= 0.0:
+        with pytest.raises(NotPositiveDefinite):
+            log_likelihood(theta, Y)
+        with pytest.raises(NotPositiveDefinite):
+            dense_log_likelihood(omega_of_theta(theta), Y @ Y.T / n, n)
+        return
+    want = dense_log_likelihood(omega_of_theta(theta), Y @ Y.T / n, n)
+    assert abs(log_likelihood(theta, Y) - want) <= 1e-12 * abs(want)
 
 
 def test_score_vanishes_at_truth():
-    # gradient of theta -> l(Omega(theta)) at theta0 with Omega_hat = Omega0
+    # gradient of theta -> l(theta; Y) at theta0 for data whose Y Y^T / n
+    # is Omega0 up to roundoff
     theta0 = canonical_theta()
-    omega0 = omega_of_theta(theta0)
+    Y = data_with_sample_cov(omega_of_theta(theta0), 48)
 
     def ll(v):
-        t = ThetaSym.from_vector(8, 2, v)
-        return np.array([log_likelihood(omega_of_theta(t), omega0, 50)])
+        return np.array([log_likelihood(ThetaSym.from_vector(8, 2, v), Y)])
 
     grad = fd_jacobian(ll, theta0.as_vector(), h=1e-6)
     assert np.max(np.abs(grad)) < 1e-5
@@ -435,20 +527,19 @@ def test_fisher_pd_on_random_models():
 
 
 def test_fisher_matches_fd_hessian():
-    # Hessian of the log-likelihood at (theta0, Omega_hat = Omega0) is
-    # exactly -n times the per-sample information.
+    # Hessian of the chart log-likelihood at theta0, for data whose
+    # Y Y^T / n is Omega0 up to roundoff, is -n times the per-sample
+    # information.
     gen = rng(3)
-    p, r, n = 5, 2, 7
+    p, r, n = 5, 2, 10
     theta0 = random_theta_sym(gen, p, r, pd=True)
-    omega0 = omega_of_theta(theta0)
+    Y = data_with_sample_cov(omega_of_theta(theta0), n)
     v0 = theta0.as_vector()
     d = v0.size
     h = 1e-4
 
     def ll(v):
-        return log_likelihood(
-            omega_of_theta(ThetaSym.from_vector(p, r, v)), omega0, n
-        )
+        return log_likelihood(ThetaSym.from_vector(p, r, v), Y)
 
     H = np.zeros((d, d))
     for i in range(d):
@@ -529,6 +620,19 @@ def test_gamma_cached_and_deterministic():
     assert gamma_mc(2, 1) == gamma_mc(2, 1)
 
 
+def test_gamma_memory_is_bounded_by_its_blocks(monkeypatch):
+    # the 100 000 draws at (|S|, r) = (12, 3) take 27 MiB at once; drawn
+    # and tested in blocks they stay far below that
+    monkeypatch.setattr(spiked, "_GAMMA_CACHE", {})
+    tracemalloc.start()
+    try:
+        gamma_mc(12, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("size, r", [(1, 1), (4, 1), (1, 3), (2, 3), (3, 3), (5, 2)])
 def test_gamma_unit_ball_matches_svd_at_its_draws(size, r):
     # |S| = 1, r = 1, and |S| below, at and above r, at gamma_mc's own draws
@@ -593,7 +697,7 @@ def test_zero_innovation_centers_every_component_at_truth():
     lp = limit_posterior(Y, model, cap=3)
     v0 = model.theta0.as_vector()
     for comp in lp.components:
-        expected = comp.support.selector.T @ v0
+        expected = selector(comp.support).T @ v0
         assert np.max(np.abs(comp.mean - expected)) <= 1e-12
 
 
@@ -627,7 +731,7 @@ def test_component_mean_solves_whitened_least_squares():
     eps = scale * W @ (omega_hat - omega0).ravel(order="F")
     target = Z0 @ model.theta0.as_vector() + eps
     for comp in lp.components:
-        Z0S = Z0 @ comp.support.selector
+        Z0S = Z0 @ selector(comp.support)
         lsq = np.linalg.lstsq(Z0S, target, rcond=None)[0]
         assert np.max(np.abs(comp.mean - lsq)) < 1e-9
         info = Z0S.T @ Z0S
@@ -897,7 +1001,7 @@ def test_sampler_mean_matches_component():
     lp = limit_posterior(sample_data(model.theta0, 400, 3), model, cap=2)
     comp = lp.components[0]
     draws = sample_limit_posterior(lp, 4000, 55)
-    emp = (draws @ comp.support.selector).mean(axis=0)
+    emp = (draws @ selector(comp.support)).mean(axis=0)
     z = np.abs(emp - comp.mean) / np.sqrt(np.diag(comp.cov) / 4000.0)
     assert np.max(z) < 4.0
 
@@ -959,12 +1063,31 @@ def test_lan_matches_dense_quadratic_form():
     theta = ThetaSym.from_vector(8, 2, theta0.as_vector() + 0.01 * u)
     F, g = dense_information(theta0, omega0, omega_hat)
     delta = theta.as_vector() - theta0.as_vector()
-    diff = log_likelihood(omega_of_theta(theta), omega_hat, 200) - log_likelihood(
-        omega0, omega_hat, 200
-    )
+    diff = dense_log_likelihood(
+        omega_of_theta(theta), omega_hat, 200
+    ) - dense_log_likelihood(omega0, omega_hat, 200)
     want = diff - 100.0 * float(g @ delta) + 100.0 * float(delta @ F @ delta)
     got = lan_remainder(theta, theta0, Y)
     assert abs(got - want) <= 1e-10 * max(abs(diff), 1.0)
+
+
+def test_lan_remainder_at_p2048_forms_no_p_by_p_array():
+    # one p x p float64 array is 32 MiB here; Omega_hat = Y Y^T / n alone
+    # would reach it
+    model = workload_model(2048)
+    theta0 = model.theta0
+    Y = sample_data(theta0, model.n, 0)
+    u = rng(23).standard_normal(theta0.d)
+    u /= np.linalg.norm(u)
+    theta = ThetaSym.from_vector(2048, 2, theta0.as_vector() + u / 20)
+    tracemalloc.start()
+    try:
+        R = lan_remainder(theta, theta0, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(R)
+    assert peak < 2048 * 2048 * 8
 
 
 def test_lan_cubic_scaling():

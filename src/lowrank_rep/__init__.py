@@ -46,7 +46,6 @@ from .rectrep import (
     theta_of_sigma_rect,
 )
 from .symrep import (
-    RegularityReport,
     ThetaSym,
     dsigma,
     inverse_perturbation_certificate,

@@ -60,8 +60,6 @@ class BiclusterModel:
     tau0: ClusterAssignment = None
     gamma0: ClusterAssignment = None
     sigma2: float = 1.0
-    w: np.ndarray = field(default=None, repr=False)
-    pi: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         S = np.asarray(self.Sigma0, dtype=float)
@@ -75,16 +73,7 @@ class BiclusterModel:
             )
         if self.sigma2 < 0:
             raise DimensionMismatch(f"need sigma2 >= 0, got {self.sigma2}")
-        w = np.full(p1, 1.0 / p1) if self.w is None else np.asarray(self.w, float)
-        pi = np.full(p2, 1.0 / p2) if self.pi is None else np.asarray(self.pi, float)
-        for name, probs, k in (("w", w, p1), ("pi", pi, p2)):
-            if probs.shape != (k,) or probs.min() <= 0 or abs(probs.sum() - 1) > 1e-12:
-                raise DimensionMismatch(
-                    f"{name} must be a positive length-{k} probability vector"
-                )
         object.__setattr__(self, "Sigma0", S)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "pi", pi)
 
     @property
     def p1(self):
@@ -250,7 +239,12 @@ def asymptotic_cov_G(theta, w, pi, sigma2):
 
 @dataclass(frozen=True)
 class BiclusterExperimentConfig:
-    """Study design: truth, noise level, data sizes (m, n), replicates."""
+    """Study design: truth, noise level, data sizes (m, n), replicates.
+
+    w and pi default to uniform proportions; memberships are laid out by
+    balanced_assignment at each size, which checks them.  The sizes, counts,
+    sigma2 and noise are checked here and raise ConfigError at construction.
+    """
 
     Sigma0: np.ndarray = field(repr=False)
     r: int = 1
@@ -270,15 +264,21 @@ class BiclusterExperimentConfig:
         pi = np.full(p2, 1.0 / p2) if self.pi is None else np.asarray(self.pi, float)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(
-            self, "sizes", tuple((int(m), int(n)) for m, n in self.sizes)
-        )
-        if self.sigma2 <= 0:
-            raise DimensionMismatch("experiment needs sigma2 > 0")
+        sizes = tuple((int(m), int(n)) for m, n in self.sizes)
+        object.__setattr__(self, "sizes", sizes)
+        if not sizes or min(min(size) for size in sizes) < 1:
+            raise ConfigError(f"need sizes m, n >= 1, at least one; got {sizes}")
+        if self.replicates < 0:
+            raise ConfigError(f"need replicates >= 0, got {self.replicates}")
         if self.kmeans_restarts < 1:
             raise ConfigError(
                 f"need kmeans_restarts >= 1, got {self.kmeans_restarts}"
             )
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ConfigError(f"need a finite sigma2 > 0, got {self.sigma2}")
+        if self.noise not in NOISE_KINDS:
+            kinds = " or ".join(NOISE_KINDS)
+            raise ConfigError(f"noise must be {kinds}, got {self.noise!r}")
 
     @property
     def p1(self):
@@ -302,9 +302,7 @@ class BiclusterExperimentConfig:
 def _study_size(config, m, n):
     tau0 = balanced_assignment(m, config.w)
     gamma0 = balanced_assignment(n, config.pi)
-    model = BiclusterModel(
-        config.Sigma0, tau0, gamma0, config.sigma2, config.w, config.pi
-    )
+    model = BiclusterModel(config.Sigma0, tau0, gamma0, config.sigma2)
 
     def mse(Sigma):
         return m * n * float(np.linalg.norm(Sigma - config.Sigma0) ** 2)

@@ -67,9 +67,15 @@ class ClusterAssignment:
 def balanced_assignment(n, pi):
     """Deterministic membership with class sizes proportional to pi.
 
-    Largest-remainder rounding; labels laid out in sorted blocks.
+    Largest-remainder rounding; labels laid out in sorted blocks.  pi must
+    be a vector of positive proportions summing to 1 (DimensionMismatch
+    otherwise); this is the one check of the studies' proportions.
     """
     pi = np.asarray(pi, dtype=float)
+    if pi.ndim != 1 or not np.all(pi > 0.0) or abs(pi.sum() - 1.0) > 1e-12:
+        raise DimensionMismatch(
+            f"proportions must be positive and sum to 1, got {pi.tolist()}"
+        )
     K = pi.size
     counts = np.floor(pi * n).astype(np.int64)
     short = n - counts.sum()

@@ -2,8 +2,10 @@
 
 Every raise carries enough context in the message (offending norm, tolerance,
 shape) to diagnose the failure without a debugger.  A NumericsError inside a
-study replicate excludes that replicate (mc.run_study); one raised while the
-command line builds a model from its config is a config error (exit 2).
+study replicate excludes that replicate (mc.run_study).  A bad study design
+raises before any replicate runs: ConfigError from the experiment config,
+or the owning type's error when config.study() builds the truth.  The
+command line reports either as a config error (exit 2).
 """
 
 

@@ -7,7 +7,9 @@ coverage, scaled MSE tallies and the exact-recovery rate.  Replicates whose
 clustering step is not exactly recovered, or that fail outright (a
 NumericsError, such as a fit with no chart point in the true class order),
 are counted and excluded from the normality statistics, which condition on
-strong consistency.  run_study is the one replicate driver of both studies.
+strong consistency.  A bad design never reaches a replicate: the experiment
+configs and the study they build raise it first.  run_study is the one
+replicate driver of both studies.
 """
 
 from dataclasses import dataclass, field

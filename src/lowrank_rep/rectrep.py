@@ -26,7 +26,6 @@ __all__ = [
     "theta_of_sigma_rect",
     "dsigma_rect",
     "taylor_certificate_rect",
-    "RegularityRectReport",
     "regularity_bound_rect",
 ]
 
@@ -151,17 +150,11 @@ def taylor_certificate_rect(theta, theta0):
     )
 
 
-@dataclass(frozen=True)
-class RegularityRectReport:
-    inv_gram_norm_observed: float
-    inv_gram_norm_bound: float
-    cert: Certificate
-
-
 def regularity_bound_rect(theta0):
     """Upper bound on ||(DSigma^T DSigma)^{-1}||_2 for the rectangular chart.
 
     Requires M0 of full column rank; r = 1 and r >= 2 branches differ.
+    Returns the Certificate rect_inv_gram_norm_upper.
     """
     sv_M = np.linalg.svd(theta0.core, compute_uv=False)
     if sv_M.size < theta0.r or sv_M[-1] <= 1e-12 * max(sv_M[0], 1.0):
@@ -174,10 +167,8 @@ def regularity_bound_rect(theta0):
         )
     else:
         bound = 1.0 + (1.0 + 8.0 * s1**2) * (1.0 + a0**2) ** 2 / (4.0 * sr**2)
-    observed = _inv_gram_norm(dsigma_rect(theta0))
-    cert = Certificate(
-        label="rect_inv_gram_norm_upper", observed=observed, bound=bound
-    )
-    return RegularityRectReport(
-        inv_gram_norm_observed=observed, inv_gram_norm_bound=bound, cert=cert
+    return Certificate(
+        label="rect_inv_gram_norm_upper",
+        observed=_inv_gram_norm(dsigma_rect(theta0)),
+        bound=bound,
     )

@@ -69,12 +69,11 @@ DENSE_EIG_MAX = 400
 
 @dataclass(frozen=True)
 class SbmModel:
-    """Ground truth: block probabilities, memberships, rank, proportions."""
+    """Ground truth: block probabilities, memberships, rank."""
 
     Sigma0: np.ndarray = field(repr=False)
     tau0: ClusterAssignment = None
     r: int = 1
-    pi: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         S = np.asarray(self.Sigma0, dtype=float)
@@ -94,11 +93,7 @@ class SbmModel:
         rank = int(np.sum(sv > 1e-9 * sv[0]))
         if rank != self.r:
             raise RankMismatch(f"rank(Sigma0) = {rank} != r = {self.r}")
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (K,) or pi.min() <= 0 or abs(pi.sum() - 1.0) > 1e-12:
-            raise DimensionMismatch("pi must be a positive length-K probability vector")
         object.__setattr__(self, "Sigma0", S)
-        object.__setattr__(self, "pi", pi)
 
     @property
     def K(self):
@@ -348,7 +343,8 @@ class SbmExperimentConfig:
     """Study design: truth, sizes, replicate count.
 
     pi defaults to uniform proportions; memberships are laid out by
-    balanced_assignment at each n.
+    balanced_assignment at each n, which checks pi.  The sizes and counts
+    are checked here and raise ConfigError at construction.
     """
 
     Sigma0: np.ndarray = field(repr=False)
@@ -362,13 +358,14 @@ class SbmExperimentConfig:
         S = np.asarray(self.Sigma0, dtype=float)
         object.__setattr__(self, "Sigma0", S)
         K = S.shape[0]
-        pi = (
-            np.full(K, 1.0 / K)
-            if self.pi is None
-            else np.asarray(self.pi, dtype=float)
-        )
+        pi = np.full(K, 1.0 / K) if self.pi is None else np.asarray(self.pi, float)
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
+        n_values = tuple(int(v) for v in self.n_values)
+        object.__setattr__(self, "n_values", n_values)
+        if not n_values or min(n_values) < 1:
+            raise ConfigError(f"need n_values >= 1, at least one; got {n_values}")
+        if self.replicates < 0:
+            raise ConfigError(f"need replicates >= 0, got {self.replicates}")
         if self.kmeans_restarts < 1:
             raise ConfigError(
                 f"need kmeans_restarts >= 1, got {self.kmeans_restarts}"
@@ -391,7 +388,7 @@ class SbmExperimentConfig:
 
 def _study_size(config, n):
     tau0 = balanced_assignment(n, config.pi)
-    model = SbmModel(config.Sigma0, tau0, config.r, config.pi)
+    model = SbmModel(config.Sigma0, tau0, config.r)
 
     def mse(Sigma):
         return n * float(np.linalg.norm(Sigma - config.Sigma0) ** 2)

@@ -49,7 +49,6 @@ __all__ = [
     "taylor_certificate_sym",
     "inverse_perturbation_certificate",
     "subspace_equivalence_certificates",
-    "RegularityReport",
     "regularity_bounds",
 ]
 
@@ -268,30 +267,16 @@ def subspace_equivalence_certificates(phi, phi0):
     return c1, c2, c3
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Observed conditioning of DSigma next to the closed-form guarantees.
-
-    sigma_min_cert encodes the lower bound sigma_min_observed >=
-    sigma_min_bound, so there observed/bound sit in swapped positions to fit
-    the common pass rule observed <= bound (1 + 1e-9).  inv_gram_cert is the
-    usual direction.
-    """
-
-    sigma_min_observed: float
-    sigma_min_bound: float
-    inv_gram_norm_observed: float
-    inv_gram_norm_bound: float
-    sigma_min_cert: Certificate
-    inv_gram_cert: Certificate
-
-
 def regularity_bounds(theta0):
     """Lower bound on sigma_min(D_phi Sigma) and upper bound on
     ||(DSigma^T DSigma)^{-1}||_2 at a chart point with nonsingular core.
 
     Both constants depend only on r, the singular values of M0, and
-    a0 = ||A0||_2; the r = 1 and r >= 2 branches differ.
+    a0 = ||A0||_2; the r = 1 and r >= 2 branches differ.  Returns the
+    certificates (sigma_min_cert, inv_gram_cert).  sigma_min_cert encodes the
+    lower bound sigma_min_observed >= sigma_min_bound, so there observed and
+    bound sit in swapped positions to fit the common pass rule observed <=
+    bound (1 + 1e-9); inv_gram_cert is the usual direction.
     """
     p, r = theta0.p, theta0.r
     if p == r:
@@ -318,7 +303,6 @@ def regularity_bounds(theta0):
         sigma_min_bound = 2.0 * np.sqrt(2.0) * sr / (1.0 + a0**2)
         inv_bound = 1.0 + (1.0 + 64.0 * s1**2) * (1.0 + a0**2) ** 2 / (8.0 * sr**2)
 
-    inv_observed = _inv_gram_norm(D)
     sigma_min_cert = Certificate(
         label="dsigma_phi_sigma_min_lower",
         observed=sigma_min_bound,  # lower bound: pass iff bound <= observed
@@ -326,14 +310,7 @@ def regularity_bounds(theta0):
     )
     inv_gram_cert = Certificate(
         label="inv_gram_norm_upper",
-        observed=inv_observed,
+        observed=_inv_gram_norm(D),
         bound=inv_bound,
     )
-    return RegularityReport(
-        sigma_min_observed=sigma_min_observed,
-        sigma_min_bound=sigma_min_bound,
-        inv_gram_norm_observed=inv_observed,
-        inv_gram_norm_bound=inv_bound,
-        sigma_min_cert=sigma_min_cert,
-        inv_gram_cert=inv_gram_cert,
-    )
+    return sigma_min_cert, inv_gram_cert

@@ -332,7 +332,7 @@ def test_cov_G_matches_monte_carlo():
     sigma2 = 0.49
     m, n = 150, 120
     model = BiclusterModel(
-        SIGMA_B, balanced_assignment(m, w), balanced_assignment(n, pi), sigma2, w, pi
+        SIGMA_B, balanced_assignment(m, w), balanced_assignment(n, pi), sigma2
     )
     theta0 = theta_of_sigma_rect(SIGMA_B, 2)
     G_invhalf = invsqrt_pd(asymptotic_cov_G(theta0, w, pi, sigma2))
@@ -364,12 +364,30 @@ def test_experiment_zero_replicates():
 
 def test_experiment_rejects_no_kmeans_restarts():
     # zero restarts would fail every replicate's k-means; the config
-    # refuses the value before any replicate runs
-    for restarts in (0, -1):
-        with pytest.raises(ConfigError, match="kmeans_restarts"):
+    # refuses the value, and every other bad design scalar, at construction
+    faults = [("kmeans_restarts", v) for v in (0, -1)]
+    faults += [("sizes", v) for v in (((0, 60),), ((-1, 60),), ())]
+    faults += [("replicates", -1), ("sigma2", np.nan), ("noise", "cauchy")]
+    for key, value in faults:
+        with pytest.raises(ConfigError, match=key):
             BiclusterExperimentConfig(
-                SIGMA_B, r=2, sizes=((100, 100),), kmeans_restarts=restarts
+                SIGMA_B, **{"r": 2, "sizes": ((100, 100),), key: value}
             )
+    # study() builds the truth at each size before any replicate runs:
+    # balanced_assignment refuses bad proportions, the model a wrong count
+    bad = [
+        ([-0.2, 0.6, 0.6], "proportions"),
+        ([np.nan, 0.5, 0.5], "proportions"),
+        ([0.2, 0.3, 0.4], "proportions"),
+        ([0.5, 0.5], "assignments have k"),
+    ]
+    for key in ("w", "pi"):
+        for probs, match in bad:
+            config = BiclusterExperimentConfig(
+                SIGMA_B, **{"r": 2, "sizes": ((100, 100),), key: probs}
+            )
+            with pytest.raises(DimensionMismatch, match=match):
+                config.study()
 
 
 def test_experiment_smoke():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lowrank_rep.cluster import (
     ClusterAssignment,
     align_labels,
+    balanced_assignment,
     kmeans,
     relabel,
 )
@@ -50,6 +51,32 @@ def test_assignment_counts():
     a = ClusterAssignment(np.array([0, 2, 2, 1, 2]), 4)
     assert a.n == 5
     assert np.array_equal(a.counts(), [1, 1, 3, 0])
+
+
+@pytest.mark.parametrize(
+    "pi",
+    [
+        [-0.2, 0.6, 0.6],
+        [0.0, 0.5, 0.5],
+        [np.nan, 0.5, 0.5],
+        [np.inf, 0.5, 0.5],
+        [0.2, 0.3, 0.4],
+        [0.5, 0.5, 0.5],
+        [],
+        [[0.5, 0.5]],
+    ],
+)
+def test_balanced_assignment_rejects_bad_proportions(pi):
+    # a bad proportion must raise a typed error before np.repeat sees counts
+    with pytest.raises(DimensionMismatch, match="proportions"):
+        balanced_assignment(60, np.array(pi, dtype=float))
+
+
+def test_balanced_assignment_takes_roundoff_sums():
+    # proportions written to a few digits sum to 1 only up to roundoff
+    pi = np.array([0.7, 0.1, 0.1, 0.1])
+    assert pi.sum() != 1.0
+    assert np.array_equal(balanced_assignment(10, pi).counts(), [7, 1, 1, 1])
 
 
 # ---- kmeans ----

@@ -186,9 +186,9 @@ def test_taylor_rect_quadratic_scaling():
 
 def test_regularity_rect_frozen_r1():
     theta0 = ThetaRect(1, Phi(2, 1, [0.0]), [1.0])
-    rep = regularity_bound_rect(theta0)
-    assert rep.inv_gram_norm_bound == pytest.approx(1.0 + 9.0 / 4.0, abs=1e-12)
-    assert rep.cert.passed
+    cert = regularity_bound_rect(theta0)
+    assert cert.bound == pytest.approx(1.0 + 9.0 / 4.0, abs=1e-12)
+    assert cert.passed
 
 
 def test_regularity_rect_random():
@@ -198,8 +198,8 @@ def test_regularity_rect_random():
         p2 = int(gen.integers(2, 8))
         r = int(gen.integers(1, min(p1, p2, 3) + 1))
         theta0 = random_theta_rect(gen, p1, p2, r)
-        rep = regularity_bound_rect(theta0)
-        assert rep.cert.passed, f"failed at ({p1}, {p2}, {r}): {rep.cert}"
+        cert = regularity_bound_rect(theta0)
+        assert cert.passed, f"failed at ({p1}, {p2}, {r}): {cert}"
 
 
 def test_regularity_rect_rejects_singular_core():
@@ -217,5 +217,4 @@ def test_regularity_rect_near_boundary():
     theta0 = ThetaRect(
         4, Phi(5, 2, A.reshape(-1, order="F")), gen.normal(size=8)
     )
-    rep = regularity_bound_rect(theta0)
-    assert rep.cert.passed
+    assert regularity_bound_rect(theta0).passed

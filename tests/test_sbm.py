@@ -64,14 +64,13 @@ SIGMA_FULL = np.array([[0.6, 0.3], [0.3, 0.5]])
 
 def uniform_model(Sigma, r, n):
     K = Sigma.shape[0]
-    pi = np.full(K, 1.0 / K)
-    return SbmModel(Sigma, balanced_assignment(n, pi), r, pi)
+    return SbmModel(Sigma, balanced_assignment(n, np.full(K, 1.0 / K)), r)
 
 
 def shuffled_model(seed, n):
     # unsorted labels: pairs i<j fall into both (s,t) and (t,s)
     tau = ClusterAssignment(rng(seed).permutation(np.arange(n) % 3), 3)
-    return SbmModel(SIGMA_R2, tau, 2, np.full(3, 1.0 / 3.0))
+    return SbmModel(SIGMA_R2, tau, 2)
 
 
 # ---- model validation ----
@@ -167,7 +166,7 @@ def test_streamed_adjacency_matches_full_matrix_oracle(k, n, seed):
     S = S + np.triu(S, 1).T
     sv = np.linalg.svd(S, compute_uv=False)
     r = int(np.sum(sv > 1e-9 * sv[0]))
-    model = SbmModel(S, ClusterAssignment(labels, k), r, np.full(k, 1.0 / k))
+    model = SbmModel(S, ClusterAssignment(labels, k), r)
     P = S[labels[:, None], labels[None, :]]
     upper = np.triu(generator(seed).random((n, n)) < P, 1).astype(np.int8)
     oracle = upper + upper.T
@@ -211,7 +210,7 @@ def test_integer_adjacency_matches_float_uniform_oracle(k, n, seed, edge):
     S = np.triu(S) + np.triu(S, 1).T
     sv = np.linalg.svd(S, compute_uv=False)
     r = int(np.sum(sv > 1e-9 * sv[0]))
-    model = SbmModel(S, ClusterAssignment(labels, k), r, np.full(k, 1.0 / k))
+    model = SbmModel(S, ClusterAssignment(labels, k), r)
     A = sample_adjacency(model, seed)
     oracle = float_sample_adjacency(model, seed)
     assert A.dtype == oracle.dtype
@@ -617,12 +616,24 @@ def test_experiment_zero_replicates():
 
 def test_experiment_rejects_no_kmeans_restarts():
     # zero restarts would fail every replicate's k-means; the config
-    # refuses the value before any replicate runs
-    for restarts in (0, -1):
-        with pytest.raises(ConfigError, match="kmeans_restarts"):
-            SbmExperimentConfig(
-                SIGMA_R2, r=2, n_values=(200,), kmeans_restarts=restarts
-            )
+    # refuses the value, and every other bad design scalar, at construction
+    faults = [("kmeans_restarts", v) for v in (0, -1)]
+    faults += [("n_values", v) for v in ((0,), (-5,), ())]
+    faults += [("replicates", -1)]
+    for key, value in faults:
+        with pytest.raises(ConfigError, match=key):
+            SbmExperimentConfig(SIGMA_R2, **{"r": 2, "n_values": (200,), key: value})
+    # study() builds the truth at each size before any replicate runs:
+    # balanced_assignment refuses bad proportions, the model a wrong count
+    for pi, match in [
+        ([-0.2, 0.6, 0.6], "proportions"),
+        ([np.nan, 0.5, 0.5], "proportions"),
+        ([0.2, 0.3, 0.4], "proportions"),
+        ([0.5, 0.5], "k=2"),
+    ]:
+        config = SbmExperimentConfig(SIGMA_R2, r=2, n_values=(200,), pi=pi)
+        with pytest.raises(DimensionMismatch, match=match):
+            config.study()
 
 
 def test_experiment_smoke():

@@ -309,11 +309,12 @@ def test_subspace_distant_pair_gate():
 
 def test_regularity_frozen_r1():
     theta0 = ThetaSym(Phi(2, 1, [0.0]), [1.0])
-    rep = regularity_bounds(theta0)
-    assert rep.sigma_min_bound == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
-    assert rep.sigma_min_observed >= rep.sigma_min_bound * (1 - 1e-12)
-    assert rep.inv_gram_norm_bound == pytest.approx(1.0 + 65.0 / 8.0, abs=1e-12)
-    assert rep.sigma_min_cert.passed and rep.inv_gram_cert.passed
+    sigma_min, inv_gram = regularity_bounds(theta0)
+    # the lower bound sits in the observed slot, the observed value in bound
+    assert sigma_min.observed == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
+    assert sigma_min.bound >= sigma_min.observed * (1 - 1e-12)
+    assert inv_gram.bound == pytest.approx(1.0 + 65.0 / 8.0, abs=1e-12)
+    assert sigma_min.passed and inv_gram.passed
 
 
 def test_regularity_random_models():
@@ -322,9 +323,9 @@ def test_regularity_random_models():
         p = int(gen.integers(2, 9))
         r = int(gen.integers(1, min(p - 1, 3) + 1))
         theta0 = random_theta_sym(gen, p, r)
-        rep = regularity_bounds(theta0)
-        assert rep.sigma_min_cert.passed, f"sigma_min failed at p={p}, r={r}"
-        assert rep.inv_gram_cert.passed, f"inv_gram failed at p={p}, r={r}"
+        sigma_min, inv_gram = regularity_bounds(theta0)
+        assert sigma_min.passed, f"sigma_min failed at p={p}, r={r}"
+        assert inv_gram.passed, f"inv_gram failed at p={p}, r={r}"
 
 
 def test_regularity_rejects_singular_core():

@@ -7,6 +7,8 @@ Subpackages by layer:
   rectrep   rectangular representation M U^T
   cluster   k-means with restarts and assignment-based label alignment
   sbm       stochastic block model pipeline: spectral + one-step Newton
+  gaussnewton  the least-squares chart fit both studies run; name fixed by
+            the benchmark's layer list
   bicluster biclustering pipeline: co-clustering + least squares
   spiked    spiked covariance: likelihood, Fisher, limit posterior
   cli       the lowrank-rep command line entry point

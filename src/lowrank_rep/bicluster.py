@@ -3,8 +3,9 @@
 Data model: Y = P0 Sigma0 Q0^T + E with E iid mean-zero noise of variance
 sigma2, row classes of proportions w, column classes of proportions pi.
 Estimation: spectral co-clustering, per-block means, then a least-squares
-fit of the rank-r rectangular representation.  The standardized errors
-sqrt(mn) G^{-1/2} (theta_hat - theta0) are asymptotically standard normal.
+fit of the rank-r rectangular representation (gaussnewton.fit_rect, the
+chart point of the truncated SVD).  The standardized errors sqrt(mn)
+G^{-1/2} (theta_hat - theta0) are asymptotically standard normal.
 
 The middle factor of G is the limiting covariance of the vectorized block
 means: block (s,t) averages about (m w_s)(n pi_t) entries, so
@@ -12,6 +13,7 @@ sqrt(mn) (Sigma_hat - Sigma0)_st has variance sigma2 / (w_s pi_t).
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularGram,
 )
-from .gaussnewton import first_admissible
+from .gaussnewton import fit_rect
 from .matkit import vec
 from .mc import Study, StudySize, invsqrt_pd, run_study
 from .rectrep import dsigma_rect, sigma_of_theta_rect, theta_of_sigma_rect
@@ -40,7 +42,6 @@ __all__ = [
     "sample_data",
     "spectral_cocluster",
     "block_means",
-    "lse_theta",
     "asymptotic_cov_G",
     "BiclusterExperimentConfig",
     "bicluster_experiment",
@@ -174,30 +175,8 @@ def block_means(Y, tau_hat, gamma_hat):
 
 
 # =====================================================================
-# least-squares fit of the representation
+# limiting covariance
 # =====================================================================
-
-
-def _rank_r_svd_truncation(T, r):
-    U, s, Vt = np.linalg.svd(T, full_matrices=False)
-    return (U[:, :r] * s[:r]) @ Vt[:r, :]
-
-
-def lse_theta(Sigma_hat, r):
-    """Least-squares chart fit: argmin ||Sigma_hat - Sigma(theta)||_F.
-
-    Returns the chart coordinates of the truncated SVD, which is the
-    least-squares fit.  If the leading right-block degenerates, column
-    permutations of Sigma_hat are tried in lexicographic order
-    (gaussnewton.first_admissible) until one admits a representer (the fit
-    then targets that permuted matrix).
-    """
-    T = np.asarray(Sigma_hat, dtype=float)
-    trunc = _rank_r_svd_truncation(T, r)
-    theta, _ = first_admissible(
-        T.shape[1], r, lambda idx: theta_of_sigma_rect(trunc[:, idx], r)
-    )
-    return theta
 
 
 def asymptotic_cov_G(theta, w, pi, sigma2):
@@ -242,8 +221,9 @@ class BiclusterExperimentConfig:
     """Study design: truth, noise level, data sizes (m, n), replicates.
 
     w and pi default to uniform proportions; memberships are laid out by
-    balanced_assignment at each size, which checks them.  The sizes, counts,
-    sigma2 and noise are checked here and raise ConfigError at construction.
+    balanced_assignment at each size, which checks them.  The sizes and
+    counts (integers in range), sigma2 and noise are checked here and raise
+    ConfigError at construction.
     """
 
     Sigma0: np.ndarray = field(repr=False)
@@ -264,15 +244,19 @@ class BiclusterExperimentConfig:
         pi = np.full(p2, 1.0 / p2) if self.pi is None else np.asarray(self.pi, float)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "pi", pi)
-        sizes = tuple((int(m), int(n)) for m, n in self.sizes)
+        sizes = tuple(tuple(size) for size in self.sizes)
+        flat = [v for size in sizes for v in size]
+        if not sizes or not all(isinstance(v, Integral) for v in flat):
+            raise ConfigError(f"need integer sizes (m, n), at least one; got {sizes}")
+        if min(flat) < 1:
+            raise ConfigError(f"need sizes m, n >= 1, got {sizes}")
+        sizes = tuple((int(m), int(n)) for m, n in sizes)
         object.__setattr__(self, "sizes", sizes)
-        if not sizes or min(min(size) for size in sizes) < 1:
-            raise ConfigError(f"need sizes m, n >= 1, at least one; got {sizes}")
-        if self.replicates < 0:
-            raise ConfigError(f"need replicates >= 0, got {self.replicates}")
-        if self.kmeans_restarts < 1:
+        if not isinstance(self.replicates, Integral) or self.replicates < 0:
+            raise ConfigError(f"need integer replicates >= 0, got {self.replicates}")
+        if not isinstance(self.kmeans_restarts, Integral) or self.kmeans_restarts < 1:
             raise ConfigError(
-                f"need kmeans_restarts >= 1, got {self.kmeans_restarts}"
+                f"need integer kmeans_restarts >= 1, got {self.kmeans_restarts}"
             )
         if not 0.0 < self.sigma2 < np.inf:
             raise ConfigError(f"need a finite sigma2 > 0, got {self.sigma2}")
@@ -321,10 +305,8 @@ def _study_size(config, m, n):
             Y, relabel(tau_hat, perm_r), relabel(gamma_hat, perm_c)
         )
         row["mse_naive"] = mse(Sigma_hat)
-        # identity-order chart point of the truncation; a missing one is a
-        # NumericsError, which excludes the replicate
-        trunc = _rank_r_svd_truncation(Sigma_hat, config.r)
-        return theta_of_sigma_rect(trunc, config.r)
+        # a fit with no chart point raises, which excludes the replicate
+        return fit_rect(Sigma_hat, config.r)
 
     scale = float(np.sqrt(m * n))
     return StudySize({"m": m, "n": n}, scale, mse, sample, replicate)

@@ -17,10 +17,11 @@ importing scipy.sparse.csgraph adds 3-5 ms and 1 MiB, scipy.optimize
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewPoints
+from .errors import DimensionMismatch, NonFiniteInput, TooFewPoints
 from .rngs import substream
 
 __all__ = [
@@ -67,10 +68,13 @@ class ClusterAssignment:
 def balanced_assignment(n, pi):
     """Deterministic membership with class sizes proportional to pi.
 
-    Largest-remainder rounding; labels laid out in sorted blocks.  pi must
-    be a vector of positive proportions summing to 1 (DimensionMismatch
-    otherwise); this is the one check of the studies' proportions.
+    Largest-remainder rounding; labels laid out in sorted blocks.  n must
+    be an integer >= 0 and pi a vector of positive proportions summing to 1
+    (DimensionMismatch otherwise); this is the one check of the studies'
+    proportions.
     """
+    if not isinstance(n, Integral) or n < 0:
+        raise DimensionMismatch(f"need an integer n >= 0, got {n!r}")
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or not np.all(pi > 0.0) or abs(pi.sum() - 1.0) > 1e-12:
         raise DimensionMismatch(
@@ -215,7 +219,7 @@ def kmeans(rows, k, restarts=20, seed=0):
         raise TooFewPoints(f"{n} rows for k={k} clusters")
     if not np.isfinite(rows).all():
         # k-means++ weights would be NaN (Generator.choice refused them)
-        raise ValueError("k-means rows must be finite")
+        raise NonFiniteInput("k-means rows must be finite")
     gens = [substream(seed, 3, t) for t in range(restarts)]
     centers = _kmeanspp_init(rows, k, gens)
     labels, obj = _lloyd(rows, k, centers)

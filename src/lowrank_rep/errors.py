@@ -71,8 +71,8 @@ class TooFewPoints(NumericsError):
     """Fewer data points than requested clusters."""
 
 
-class ProjectionFailed(NumericsError):
-    """No class ordering of a least-squares target admits a chart point."""
+class NonFiniteInput(NumericsError):
+    """Data points hold a NaN or infinite coordinate."""
 
 
 class SupportViolation(NumericsError):

@@ -2,14 +2,15 @@
 
 Estimation runs in four steps: (I) spectral clustering of the adjacency
 matrix, (II) block-mean initial estimator of the probability matrix,
-(III) least-squares projection onto the rank-r representation, and (IV) a
-single Newton ascent step on the profile likelihood.  The one-step
-estimator is asymptotically normal with covariance J^{-1}/n^2 where J is
-assembled in asymptotic_cov_J, and the Monte Carlo harness standardizes
-errors accordingly.
+(III) least-squares fit of the rank-r representation (gaussnewton.fit_sym,
+the chart point of the rank-r truncation), and (IV) a single Newton ascent
+step on the profile likelihood.  The one-step estimator is asymptotically
+normal with covariance J^{-1}/n^2 where J is assembled in asymptotic_cov_J,
+and the Monte Carlo harness standardizes errors accordingly.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     RankMismatch,
     SingularFisher,
 )
-from .gaussnewton import first_admissible
+from .gaussnewton import fit_sym
 from .mc import Study, StudySize, run_study, sqrt_psd
 from .rngs import generator, substream
 from .symrep import (
@@ -49,7 +50,6 @@ __all__ = [
     "block_counts",
     "block_mean_estimator",
     "clip_probabilities",
-    "project_to_manifold",
     "sbm_score",
     "sbm_fisher",
     "one_step",
@@ -235,36 +235,6 @@ def clip_probabilities(Sigma):
 
 
 # =====================================================================
-# manifold projection
-# =====================================================================
-
-
-def _rank_r_truncation(T, r):
-    lam, V = _eig_by_magnitude(0.5 * (T + T.T))
-    return (V[:, :r] * lam[:r]) @ V[:, :r].T
-
-
-def project_to_manifold(Sigma_tilde, r):
-    """Least-squares fit of the rank-r representation to a block matrix.
-
-    Returns the chart coordinates of the best rank-r approximation, which is
-    the least-squares fit.  When its leading-block rotation degenerates,
-    simultaneous row/column permutations of Sigma_tilde are tried in
-    lexicographic order (gaussnewton.first_admissible) until one admits a
-    representer.  If a non-identity permutation is needed, the fit targets
-    that permuted matrix (no unpermuted representer exists in the chart);
-    callers sensitive to ordering should reorder classes first.
-    """
-    T = np.asarray(Sigma_tilde, dtype=float)
-
-    def chart_point(idx):
-        return theta_of_sigma(_rank_r_truncation(T[np.ix_(idx, idx)], r), r)
-
-    theta, _ = first_admissible(T.shape[0], r, chart_point)
-    return theta
-
-
-# =====================================================================
 # likelihood machinery
 # =====================================================================
 
@@ -344,7 +314,8 @@ class SbmExperimentConfig:
 
     pi defaults to uniform proportions; memberships are laid out by
     balanced_assignment at each n, which checks pi.  The sizes and counts
-    are checked here and raise ConfigError at construction.
+    must be integers in range; they are checked here and raise ConfigError
+    at construction.
     """
 
     Sigma0: np.ndarray = field(repr=False)
@@ -360,15 +331,17 @@ class SbmExperimentConfig:
         K = S.shape[0]
         pi = np.full(K, 1.0 / K) if self.pi is None else np.asarray(self.pi, float)
         object.__setattr__(self, "pi", pi)
-        n_values = tuple(int(v) for v in self.n_values)
-        object.__setattr__(self, "n_values", n_values)
-        if not n_values or min(n_values) < 1:
-            raise ConfigError(f"need n_values >= 1, at least one; got {n_values}")
-        if self.replicates < 0:
-            raise ConfigError(f"need replicates >= 0, got {self.replicates}")
-        if self.kmeans_restarts < 1:
+        n_values = tuple(self.n_values)
+        if not n_values or not all(isinstance(v, Integral) for v in n_values):
+            raise ConfigError(f"need integer n_values, at least one; got {n_values}")
+        if min(n_values) < 1:
+            raise ConfigError(f"need n_values >= 1, got {n_values}")
+        object.__setattr__(self, "n_values", tuple(int(v) for v in n_values))
+        if not isinstance(self.replicates, Integral) or self.replicates < 0:
+            raise ConfigError(f"need integer replicates >= 0, got {self.replicates}")
+        if not isinstance(self.kmeans_restarts, Integral) or self.kmeans_restarts < 1:
             raise ConfigError(
-                f"need kmeans_restarts >= 1, got {self.kmeans_restarts}"
+                f"need integer kmeans_restarts >= 1, got {self.kmeans_restarts}"
             )
 
     @property
@@ -405,10 +378,9 @@ def _study_size(config, n):
         counts = block_counts(A, relabel(tau_hat, perm))
         Sigma_naive = block_mean_estimator(counts)
         row["mse_naive"] = mse(Sigma_naive)
-        # identity-order chart point of the truncation; a missing one is a
-        # NumericsError, which excludes the replicate
-        trunc = _rank_r_truncation(clip_probabilities(Sigma_naive), config.r)
-        return one_step(theta_of_sigma(trunc, config.r), counts)
+        # a fit with no chart point raises, which excludes the replicate
+        theta_tilde = fit_sym(clip_probabilities(Sigma_naive), config.r)
+        return one_step(theta_tilde, counts)
 
     return StudySize({"n": n}, n, mse, sample, replicate)
 

@@ -19,7 +19,6 @@ from lowrank_rep.bicluster import (
     asymptotic_cov_G,
     bicluster_experiment,
     block_means,
-    lse_theta,
     sample_data,
     spectral_cocluster,
 )
@@ -29,7 +28,14 @@ from lowrank_rep.cluster import (
     balanced_assignment,
     relabel,
 )
-from lowrank_rep.errors import ConfigError, DimensionMismatch, EmptyBlock, ProjectionFailed
+from lowrank_rep.errors import (
+    ConfigError,
+    DegenerateTopBlock,
+    DimensionMismatch,
+    EmptyBlock,
+    RankMismatch,
+)
+from lowrank_rep.gaussnewton import fit_rect
 from lowrank_rep.matkit import vec
 from lowrank_rep.mc import invsqrt_pd
 from lowrank_rep.rectrep import (
@@ -263,7 +269,7 @@ def test_block_mean_variance_oracle():
 
 def test_lse_recovers_exact_point():
     theta = theta_of_sigma_rect(SIGMA_B, 2)
-    out = lse_theta(sigma_of_theta_rect(theta), 2)
+    out = fit_rect(sigma_of_theta_rect(theta), 2)
     assert np.allclose(out.as_vector(), theta.as_vector(), atol=1e-8)
 
 
@@ -271,7 +277,7 @@ def test_lse_beats_truth_and_is_stationary():
     gen = rng(42)
     theta = theta_of_sigma_rect(SIGMA_B, 2)
     target = sigma_of_theta_rect(theta) + 1e-3 * gen.normal(size=(3, 3))
-    out = lse_theta(target, 2)
+    out = fit_rect(target, 2)
     fit = np.linalg.norm(sigma_of_theta_rect(out) - target)
     ref = np.linalg.norm(sigma_of_theta_rect(theta) - target)
     assert fit <= ref + 1e-12
@@ -279,20 +285,17 @@ def test_lse_beats_truth_and_is_stationary():
     assert np.linalg.norm(grad) <= 1e-8
 
 
-def test_lse_falls_back_to_first_admissible_column_permutation():
-    # column 0 is zero, so the right basis has a singular top block under
-    # every column ordering that leaves column 0 among the first two
+def test_lse_with_degenerate_top_block_fails():
+    # column 0 is zero, so the right basis in the target's own column order
+    # has a singular top block: no chart point, and no reordering
     T = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.5, 0.5]])
-    out = lse_theta(T, 2)
-    target = T[:, [1, 2, 0]]
-    assert np.allclose(sigma_of_theta_rect(out), target, atol=1e-12)
-    grad = dsigma_rect(out).T @ vec(target - sigma_of_theta_rect(out))
-    assert np.linalg.norm(grad) <= 1e-10
+    with pytest.raises(DegenerateTopBlock):
+        fit_rect(T, 2)
 
 
 def test_lse_without_admissible_permutation_fails():
-    with pytest.raises(ProjectionFailed):
-        lse_theta(np.zeros((3, 3)), 2)
+    with pytest.raises(RankMismatch):
+        fit_rect(np.zeros((3, 3)), 2)
 
 
 # ---- limiting covariance ----
@@ -339,7 +342,7 @@ def test_cov_G_matches_monte_carlo():
     zs = []
     for i in range(400):
         Y = sample_data(model, 9000 + i)
-        theta_hat = lse_theta(block_means(Y, model.tau0, model.gamma0), 2)
+        theta_hat = fit_rect(block_means(Y, model.tau0, model.gamma0), 2)
         zs.append(
             np.sqrt(m * n) * (G_invhalf @ (theta_hat.as_vector() - theta0.as_vector()))
         )
@@ -368,6 +371,9 @@ def test_experiment_rejects_no_kmeans_restarts():
     faults = [("kmeans_restarts", v) for v in (0, -1)]
     faults += [("sizes", v) for v in (((0, 60),), ((-1, 60),), ())]
     faults += [("replicates", -1), ("sigma2", np.nan), ("noise", "cauchy")]
+    # a float, even a whole one, or a NaN is refused, not truncated by int()
+    faults += [("sizes", v) for v in (((100.7, 60),), ((100, np.nan),), ((100.0, 60),))]
+    faults += [("replicates", 2.5), ("kmeans_restarts", 2.5)]
     for key, value in faults:
         with pytest.raises(ConfigError, match=key):
             BiclusterExperimentConfig(
@@ -388,6 +394,18 @@ def test_experiment_rejects_no_kmeans_restarts():
             )
             with pytest.raises(DimensionMismatch, match=match):
                 config.study()
+
+
+def test_experiment_config_takes_numpy_integers():
+    config = BiclusterExperimentConfig(
+        SIGMA_B,
+        r=2,
+        sizes=((np.int64(100), np.int32(60)),),
+        replicates=np.int64(3),
+        kmeans_restarts=np.int16(5),
+    )
+    assert config.sizes == ((100, 60),)
+    assert all(type(v) is int for v in config.sizes[0])
 
 
 def test_experiment_smoke():

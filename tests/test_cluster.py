@@ -20,7 +20,7 @@ from lowrank_rep.cluster import (
     kmeans,
     relabel,
 )
-from lowrank_rep.errors import DimensionMismatch, TooFewPoints
+from lowrank_rep.errors import DimensionMismatch, NonFiniteInput, TooFewPoints
 
 from helpers import loop_kmeans, rng
 
@@ -70,6 +70,18 @@ def test_balanced_assignment_rejects_bad_proportions(pi):
     # a bad proportion must raise a typed error before np.repeat sees counts
     with pytest.raises(DimensionMismatch, match="proportions"):
         balanced_assignment(60, np.array(pi, dtype=float))
+
+
+@pytest.mark.parametrize("n", [-1, 60.0, 60.5, np.nan])
+def test_balanced_assignment_rejects_bad_size(n):
+    with pytest.raises(DimensionMismatch, match="integer n"):
+        balanced_assignment(n, np.full(3, 1.0 / 3.0))
+
+
+def test_balanced_assignment_takes_numpy_and_zero_sizes():
+    pi = np.full(3, 1.0 / 3.0)
+    assert np.array_equal(balanced_assignment(np.int64(7), pi).counts(), [3, 2, 2])
+    assert balanced_assignment(0, pi).n == 0
 
 
 def test_balanced_assignment_takes_roundoff_sums():
@@ -207,7 +219,7 @@ def test_kmeans_rejects_no_restarts(restarts):
 def test_kmeans_rejects_nonfinite_rows(bad):
     rows = rng(21).normal(size=(20, 2))
     rows[3, 1] = bad
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(NonFiniteInput, match="finite"):
         kmeans(rows, 2, restarts=3, seed=0)
 
 

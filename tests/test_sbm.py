@@ -25,11 +25,12 @@ from lowrank_rep.errors import (
     DegenerateTopBlock,
     DimensionMismatch,
     EmptyBlock,
+    NonFiniteInput,
     ProbabilityOutOfRange,
-    ProjectionFailed,
     RankMismatch,
     SingularFisher,
 )
+from lowrank_rep.gaussnewton import fit_sym
 from lowrank_rep.matkit import duplication_pinv, vec, vech
 from lowrank_rep.rngs import generator
 from lowrank_rep.sbm import (
@@ -42,7 +43,6 @@ from lowrank_rep.sbm import (
     block_mean_estimator,
     clip_probabilities,
     one_step,
-    project_to_manifold,
     sample_adjacency,
     sbm_experiment,
     sbm_fisher,
@@ -377,7 +377,7 @@ def test_clip_probabilities():
 
 def test_project_recovers_exact_point():
     theta = theta_of_sigma(SIGMA_R2, 2)
-    out = project_to_manifold(sigma_of_theta(theta), 2)
+    out = fit_sym(sigma_of_theta(theta), 2)
     assert np.allclose(out.as_vector(), theta.as_vector(), atol=1e-8)
 
 
@@ -386,7 +386,7 @@ def test_project_beats_truth_and_is_stationary():
     theta = theta_of_sigma(SIGMA_R2, 2)
     noise = gen.normal(size=(3, 3)) * 1e-3
     target = sigma_of_theta(theta) + 0.5 * (noise + noise.T)
-    out = project_to_manifold(target, 2)
+    out = fit_sym(target, 2)
     fit = np.linalg.norm(sigma_of_theta(out) - target)
     ref = np.linalg.norm(sigma_of_theta(theta) - target)
     assert fit <= ref + 1e-12
@@ -394,22 +394,16 @@ def test_project_beats_truth_and_is_stationary():
     assert np.linalg.norm(grad) <= 1e-8
 
 
-def test_project_falls_back_to_first_admissible_permutation():
-    # class 0 carries no mass, so the rank-2 basis has a singular top block
-    # under every ordering that leaves class 0 in the first two rows; (1, 2, 0)
-    # is the first ordering, lexicographically, that admits a representer
-    T = np.diag([0.0, 0.6, 0.3])
-    out = project_to_manifold(T, 2)
-    idx = np.array([1, 2, 0])
-    target = T[np.ix_(idx, idx)]
-    assert np.allclose(sigma_of_theta(out), target, atol=1e-12)
-    grad = dsigma(out).T @ vec(target - sigma_of_theta(out))
-    assert np.linalg.norm(grad) <= 1e-10
+def test_project_with_degenerate_top_block_fails():
+    # class 0 carries no mass, so the rank-2 basis in the target's own class
+    # order has a singular top block: no chart point, and no reordering
+    with pytest.raises(DegenerateTopBlock):
+        fit_sym(np.diag([0.0, 0.6, 0.3]), 2)
 
 
 def test_project_without_admissible_permutation_fails():
-    with pytest.raises(ProjectionFailed):
-        project_to_manifold(np.zeros((3, 3)), 2)
+    with pytest.raises(RankMismatch):
+        fit_sym(np.zeros((3, 3)), 2)
 
 
 # ---- likelihood, score, Fisher ----
@@ -555,7 +549,7 @@ def test_one_step_matches_saturated_estimator_at_full_rank():
     A = sample_adjacency(model, 5)
     counts = block_counts(A, model.tau0)
     naive = block_mean_estimator(counts)
-    theta_tilde = project_to_manifold(clip_probabilities(naive), 2)
+    theta_tilde = fit_sym(clip_probabilities(naive), 2)
     theta_hat = one_step(theta_tilde, counts)
     assert np.linalg.norm(sigma_of_theta(theta_hat) - naive) <= 1e-6
 
@@ -620,6 +614,9 @@ def test_experiment_rejects_no_kmeans_restarts():
     faults = [("kmeans_restarts", v) for v in (0, -1)]
     faults += [("n_values", v) for v in ((0,), (-5,), ())]
     faults += [("replicates", -1)]
+    # a float, even a whole one, or a NaN is refused, not truncated by int()
+    faults += [("n_values", v) for v in ((200.7,), (np.nan,), (200.0,))]
+    faults += [("replicates", 2.5), ("kmeans_restarts", 2.5)]
     for key, value in faults:
         with pytest.raises(ConfigError, match=key):
             SbmExperimentConfig(SIGMA_R2, **{"r": 2, "n_values": (200,), key: value})
@@ -634,6 +631,18 @@ def test_experiment_rejects_no_kmeans_restarts():
         config = SbmExperimentConfig(SIGMA_R2, r=2, n_values=(200,), pi=pi)
         with pytest.raises(DimensionMismatch, match=match):
             config.study()
+
+
+def test_experiment_config_takes_numpy_integers():
+    config = SbmExperimentConfig(
+        SIGMA_R2,
+        r=2,
+        n_values=(np.int64(200), np.int32(300)),
+        replicates=np.int64(3),
+        kmeans_restarts=np.int16(5),
+    )
+    assert config.n_values == (200, 300)
+    assert all(type(n) is int for n in config.n_values)
 
 
 def test_experiment_smoke():
@@ -664,13 +673,11 @@ def test_experiment_full_rank_mse_equivalence():
 
 def test_experiment_excludes_permuted_projection(monkeypatch):
     # a rank-2 block matrix in (0,1) whose range holds e_3, so its basis has
-    # a singular top block: no chart point in the true class order, only
-    # after a reordering, and every replicate is excluded
+    # a singular top block: no chart point in the true class order, and
+    # every replicate is excluded
     naive = np.array([[0.4, 0.2, 0.3], [0.2, 0.1, 0.15], [0.3, 0.15, 0.5]])
     with pytest.raises(DegenerateTopBlock):
-        theta_of_sigma(naive, 2)
-    fit = sigma_of_theta(project_to_manifold(naive, 2))
-    assert np.allclose(fit, naive[np.ix_([0, 2, 1], [0, 2, 1])], atol=1e-12)
+        fit_sym(naive, 2)
     monkeypatch.setattr(sbm, "block_mean_estimator", lambda counts: naive)
     config = SbmExperimentConfig(SIGMA_R2, r=2, n_values=(300,), replicates=2)
     (summary,) = sbm_experiment(config, base_seed=77)
@@ -694,3 +701,19 @@ def test_experiment_failed_replicate_keeps_recorded_fields(monkeypatch):
         assert row["excluded_flag"] == 1 and row["z"] is None
         assert row["aligned_hamming"] >= 0 and np.isfinite(row["mse_naive"])
         assert np.isnan(row["mse_main"])
+
+
+def test_experiment_excludes_nonfinite_spectral_rows(monkeypatch):
+    # k-means refuses non-finite rows with a NumericsError, so the replicate
+    # is excluded and counted instead of stopping the study
+    def nan_rows(A, r, seed):
+        return np.full((A.shape[0], r), np.nan)
+
+    monkeypatch.setattr(sbm, "_leading_eigvecs", nan_rows)
+    with pytest.raises(NonFiniteInput):
+        spectral_cluster_sbm(np.zeros((6, 6), dtype=np.int8), 2, 3, 0)
+    config = SbmExperimentConfig(SIGMA_R2, r=2, n_values=(300,), replicates=2)
+    (summary,) = sbm_experiment(config, base_seed=77)
+    assert summary.excluded == 2
+    for row in summary.rows:
+        assert row["excluded_flag"] == 1 and row["z"] is None

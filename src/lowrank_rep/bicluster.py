@@ -244,10 +244,15 @@ class BiclusterExperimentConfig:
         pi = np.full(p2, 1.0 / p2) if self.pi is None else np.asarray(self.pi, float)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "pi", pi)
-        sizes = tuple(tuple(size) for size in self.sizes)
+        try:
+            sizes = tuple((m, n) for m, n in self.sizes)
+        except (TypeError, ValueError):  # an entry that is not an (m, n) pair
+            sizes = ()
         flat = [v for size in sizes for v in size]
         if not sizes or not all(isinstance(v, Integral) for v in flat):
-            raise ConfigError(f"need integer sizes (m, n), at least one; got {sizes}")
+            raise ConfigError(
+                f"need integer sizes (m, n), at least one; got {self.sizes}"
+            )
         if min(flat) < 1:
             raise ConfigError(f"need sizes m, n >= 1, got {sizes}")
         sizes = tuple((int(m), int(n)) for m, n in sizes)

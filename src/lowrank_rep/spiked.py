@@ -24,6 +24,7 @@ log space and normalized after a max shift.
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations, groupby
+from numbers import Integral
 
 import numpy as np
 
@@ -72,8 +73,8 @@ class SpikedModel:
     support0: tuple = field(default=())
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ConfigError(f"sample size n must be >= 1, got {self.n}")
+        if not isinstance(self.n, Integral) or self.n < 1:
+            raise ConfigError(f"need an integer sample size n >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         sup = tuple(sorted({int(i) for i in self.support0}))
         pmr = self.theta0.p - self.theta0.r
@@ -151,67 +152,60 @@ class SupportSet:
 
 @dataclass(frozen=True)
 class PosteriorComponent:
-    """One mixture component: support, weight, mean and covariance of theta_S."""
+    """One mixture component: support, weight and mean of theta_S."""
 
     support: SupportSet
     weight: float
     mean: np.ndarray = field(repr=False)
-    cov: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
 class LimitPosterior:
     """Mixture of support-restricted normals over chart coordinates.
 
-    Off-support coordinates carry a point mass at zero, so a draw is a
-    Gaussian draw in the support's columns and zero elsewhere.
+    Every support holds the rows `active` of A0, and its other rows are
+    zero in A0, so every component's covariance is cov_J on the
+    coordinates SupportSet(p, r, active).columns, in that order, and the
+    r x r cov_B on the r coordinates of each other row of its support
+    (cov_B is None when no support has such a row).  Off-support
+    coordinates carry a point mass at zero, so a draw is a Gaussian draw in
+    the support's columns and zero elsewhere.
     """
 
-    p: int
-    r: int
     components: tuple
+    active: tuple
+    cov_J: np.ndarray = field(repr=False)
+    cov_B: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         w = np.array([c.weight for c in self.components])
         if w.size == 0:
             raise ConfigError("limit posterior needs at least one component")
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
+        if not np.isfinite(w).all() or w.min() < 0.0 or abs(w.sum() - 1.0) > 1e-9:
             raise ConfigError(
-                f"weights must be nonnegative and sum to 1, got sum {w.sum()!r}"
+                f"weights must be finite, nonnegative and sum to 1, got {w.sum()!r}"
             )
-        # Both checks run stacked over the covariances of one shape; the
-        # first failing component in component order is reported, and an
-        # asymmetric covariance before a non-PD one, as a loop would.  A
-        # covariance that is not a square matrix is not PD.
-        asym = np.zeros(w.size, dtype=bool)
-        not_pd = np.zeros(w.size, dtype=bool)
-        for shape, ks in _groups(np.shape(c.cov) for c in self.components):
-            if len(shape) != 2 or shape[0] != shape[1]:
-                not_pd[ks] = True
-                continue
-            C = np.stack([self.components[k].cov for k in ks])
-            asym[ks] = (
-                np.max(np.abs(C - C.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-                > 1e-10
-            )
+        r = self.components[0].support.r
+        blocks = [("cov_J", self.cov_J, len(self.active) * r + r * (r + 1) // 2)]
+        if self.cov_B is not None or any(
+            c.support.size > len(self.active) for c in self.components
+        ):
+            blocks.append(("cov_B", self.cov_B, r))
+        for name, C, m in blocks:
+            if np.shape(C) != (m, m) or not np.isfinite(C).all():
+                raise NotPositiveDefinite(f"{name} is not a finite {m} x {m} array")
+            if np.max(np.abs(C - C.T)) > 1e-10:
+                raise NotPositiveDefinite(f"{name} is not symmetric")
             try:
                 np.linalg.cholesky(C)
-            except np.linalg.LinAlgError:
-                not_pd[ks] = _cholesky_fails(C)
-        bad = np.flatnonzero(asym | not_pd)
-        if bad.size:
-            k = bad[0]
-            if asym[k]:
-                raise NotPositiveDefinite("component covariance not symmetric")
-            raise NotPositiveDefinite(
-                f"component covariance for S={self.components[k].support.indices}"
-                " not PD"
-            )
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(f"{name} is not PD") from exc
 
     @property
     def d(self):
-        return (self.p - self.r) * self.r + self.r * (self.r + 1) // 2
+        p, r = self.components[0].support.p, self.components[0].support.r
+        return (p - r) * r + r * (r + 1) // 2
 
 
 # =====================================================================
@@ -226,8 +220,8 @@ def sample_data(theta, n, seed):
     the rows N where the frame U is nonzero, so L Z for the normals Z of
     generator(seed) is Z except Y[N] = L[N, N] Z[N]: no p x p array.
     """
-    if int(n) < 1:
-        raise ConfigError(f"need n >= 1 samples, got {n}")
+    if not isinstance(n, Integral) or n < 1:
+        raise ConfigError(f"need an integer n >= 1 samples, got {n}")
     U = theta.phi.frame.matrix
     rows = np.flatnonzero(U.any(axis=1))
     S = U[rows] @ theta.core @ U[rows].T
@@ -385,8 +379,12 @@ def _log_size_prior(p, r, a_const, n):
     if pmr == 0:
         return np.zeros(1)
     log_q = -r * math.log(n) - a_const * math.log(pmr)
+    if not math.isfinite(log_q):
+        raise ConfigError(f"prior exponent a_const={a_const} makes log q non-finite")
     z = math.expm1((pmr + 1) * log_q) / math.expm1(log_q) if log_q else pmr + 1
-    return np.arange(pmr + 1) * log_q - math.log(z)
+    # a size whose log q^t overflows gets log prior -inf: weight 0
+    with np.errstate(over="ignore"):
+        return np.arange(pmr + 1) * log_q - math.log(z)
 
 
 _GAMMA_CACHE = {}
@@ -459,8 +457,8 @@ def gamma_mc(size, r):
 
 def _enumerate_supports(model, cap):
     s0 = len(model.support0)
-    if cap < s0:
-        raise ConfigError(f"cap {cap} below true support size {s0}")
+    if not isinstance(cap, Integral) or cap < s0:
+        raise ConfigError(f"need an integer cap >= true support size {s0}, got {cap}")
     pmr = model.p - model.r
     rest = [i for i in range(pmr) if i not in model.support0]
     max_extra = min(cap - s0, len(rest))
@@ -478,28 +476,25 @@ def _enumerate_supports(model, cap):
     return out
 
 
-def _groups(keys):
-    """(key, positions) for each distinct key, in order of first appearance."""
-    out = {}
-    for k, key in enumerate(keys):
-        out.setdefault(key, []).append(k)
-    return [(key, np.array(ks)) for key, ks in out.items()]
-
-
-def _cholesky_fails(stack):
-    # Per matrix of a stack whose stacked Cholesky failed as a whole: does
-    # its own factorization fail.  Only error paths come here.
-    fails = np.zeros(len(stack), dtype=bool)
-    for k, M in enumerate(stack):
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            fails[k] = True
-    return fails
+def _positions(supports, active):
+    # Where F_J's coordinates and each zero row's sit inside theta_S, for
+    # supports of one size that all hold the active rows: row at place t of
+    # S, column b, sits at t + b |S|, and mu follows at |S| r.  Returns
+    # pos_J (g, n_J) in F_J's order, pos_Z (g, z, r) and the zero rows
+    # rows_Z (g, z); each position list ascends.
+    size, r, g = supports[0].size, supports[0].r, len(supports)
+    idx = np.array([s.indices for s in supports], dtype=np.intp).reshape(g, size)
+    is_active = (idx[..., None] == np.array(active, dtype=np.intp)).any(axis=-1)
+    t = np.nonzero(is_active)[1].reshape(g, 1, -1) + size * np.arange(r)[:, None]
+    mu = np.arange(size * r, supports[0].dim)
+    pos_J = np.hstack([t.reshape(g, -1), np.broadcast_to(mu, (g, mu.size))])
+    pos_Z = np.nonzero(~is_active)[1].reshape(g, -1, 1) + size * np.arange(r)
+    return pos_J, pos_Z, idx[~is_active].reshape(g, -1)
 
 
 def _mixture(model, supports, F_J, B, half_score, log_size_prior):
-    """Log weights, means and covariances of the components over supports.
+    """Log weights and means of the components over supports, and the two
+    covariance blocks they share.
 
     Every support holds the active rows of A0 (the rows that are not exactly
     zero, all inside support0) and the core; each of its other rows is
@@ -507,15 +502,15 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
     its coordinates, and every component shares (n F_J)^{-1} and
     (n B)^{-1}: a zero row's mean is (n B)^{-1} h_a for its slice h_a of
     the half score, and logdet I_S = logdet(n F_J) + z logdet(n B) with z
-    the number of zero rows in S.  Each support size runs as one vectorized
-    pass that scatters the two blocks into the coordinate order of its
-    supports.  A SingularFisher names the first support, in enumeration
-    order, whose information is not PD.  Returns (log_w, means, covs) with
-    one entry of means and covs per support.
+    the number of zero rows in S.  The supports come in ascending size, and
+    each size runs as one vectorized pass that places the blocks' means at
+    the positions _positions gives.  A SingularFisher names the first
+    support, in enumeration order, whose information is not PD.  Returns
+    (log_w, means, cov_J, cov_B) with one entry of means per support;
+    cov_B is None when no support has a zero row.
     """
     n, r = model.n, model.r
     pmr = model.p - r
-    n_mu = r * (r + 1) // 2
     active, cols, _ = _block_layout(model.theta0.phi.A)
     info_J, info_B = n * F_J, n * B
     log_2pi = math.log(2.0 * math.pi)
@@ -531,6 +526,7 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
     quad_J = float(mean_J @ info_J @ mean_J)
     logdet_J = 2.0 * float(np.log(np.diag(L_J)).sum())
     first_zero = next((s for s in supports if s.size > len(active)), None)
+    cov_B = None
     if first_zero is not None:
         try:
             L_B = np.linalg.cholesky(info_B)
@@ -544,35 +540,20 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
         # row a of mean_rows is the mean of zero row a; A0 is zero there
         mean_rows = half_score[: pmr * r].reshape(r, pmr).T @ cov_B
         quad_rows = np.einsum("ai,ij,aj->a", mean_rows, info_B, mean_rows)
-    row_active = np.zeros(pmr, dtype=bool)
-    row_active[list(active)] = True
     log_w = np.empty(len(supports))
-    means, covs = [], []
-    for size, ks in _groups(sup.size for sup in supports):
-        g, z, dim = ks.size, size - len(active), supports[ks[0]].dim
-        idx = np.array([supports[k].indices for k in ks], dtype=np.intp)
-        is_active = row_active[idx]
-        # positions inside S: row at place t, column b sits at t + b size
-        t_J = np.nonzero(is_active)[1].reshape(g, 1, -1)
-        pos_J = np.concatenate(
-            [
-                (t_J + size * np.arange(r)[:, None]).reshape(g, -1),
-                np.broadcast_to(size * r + np.arange(n_mu), (g, n_mu)),
-            ],
-            axis=1,
-        )
-        pos_Z = np.nonzero(~is_active)[1].reshape(g, z, 1) + size * np.arange(r)
-        rows_Z = idx[~is_active].reshape(g, z)
-        at = np.arange(g)[:, None, None]
-        cov = np.zeros((g, dim, dim))
+    means = []
+    start = 0
+    for size, run in groupby(sup.size for sup in supports):
+        stop = start + sum(1 for _ in run)
+        pos_J, pos_Z, rows_Z = _positions(supports[start:stop], active)
+        g, z, dim = stop - start, size - len(active), supports[start].dim
+        at = np.arange(g)[:, None]
         mean = np.empty((g, dim))
-        cov[at, pos_J[:, :, None], pos_J[:, None, :]] = cov_J
-        mean[at[:, :, 0], pos_J] = mean_J
+        mean[at, pos_J] = mean_J
         quad = np.full(g, quad_J)
         logdet = logdet_J
         if z:
-            cov[at[..., None], pos_Z[..., None], pos_Z[:, :, None, :]] = cov_B
-            mean[at, pos_Z] = mean_rows[rows_Z]
+            mean[at[..., None], pos_Z] = mean_rows[rows_Z]
             quad += quad_rows[rows_Z].sum(axis=1)
             logdet += z * logdet_B
         gamma_est, _ = gamma_mc(size, r)
@@ -587,10 +568,10 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
             - math.log(math.comb(pmr, size))
             - math.log(gamma_est)
         )
-        log_w[ks] = log_prior + 0.5 * (dim * log_2pi - logdet) + 0.5 * quad
+        log_w[start:stop] = log_prior + 0.5 * (dim * log_2pi - logdet) + 0.5 * quad
         means.extend(mean)
-        covs.extend(cov)
-    return log_w, means, covs
+        start = stop
+    return log_w, means, cov_J, cov_B
 
 
 def limit_posterior(Y, model, cap, a_const=1.0):
@@ -602,10 +583,11 @@ def limit_posterior(Y, model, cap, a_const=1.0):
     selected half of the full-sample score (n/2) DSigma^T
     vec(Om0^{-1}(Y Y^T / n - Om0) Om0^{-1}), and its log weight combines
     the support prior, the gamma normalizer, and the Gaussian evidence
-    (1/2)(d_S log 2pi - logdet I_S) + (1/2) mean^T I_S mean.
+    (1/2)(d_S log 2pi - logdet I_S) + (1/2) mean^T I_S mean.  Every
+    component shares the two covariance blocks of LimitPosterior.
     """
-    if a_const <= 0.0:
-        raise ConfigError(f"prior exponent a_const must be > 0, got {a_const}")
+    if not 0.0 < a_const < math.inf:
+        raise ConfigError(f"need a finite prior exponent a_const > 0, got {a_const}")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != model.p or Y.shape[1] < 1:
         raise DimensionMismatch(
@@ -613,7 +595,7 @@ def limit_posterior(Y, model, cap, a_const=1.0):
         )
     F_J, B, score = _information(model.theta0, Y)
     supports = _enumerate_supports(model, cap)
-    log_w, means, covs = _mixture(
+    log_w, means, cov_J, cov_B = _mixture(
         model,
         supports,
         F_J,
@@ -621,13 +603,18 @@ def limit_posterior(Y, model, cap, a_const=1.0):
         0.5 * model.n * score,
         _log_size_prior(model.p, model.r, a_const, model.n),
     )
+    if not math.isfinite(log_w.max()):
+        raise ConfigError(
+            f"prior exponent a_const={a_const} leaves no support of size <= "
+            f"cap={cap} a finite log weight"
+        )
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
     components = tuple(
-        PosteriorComponent(sup, wk, mean, cov)
-        for sup, wk, mean, cov in zip(supports, w.tolist(), means, covs)
+        PosteriorComponent(sup, wk, mean)
+        for sup, wk, mean in zip(supports, w.tolist(), means)
     )
-    return LimitPosterior(model.p, model.r, components)
+    return LimitPosterior(components, _active_rows(model.theta0.phi.A), cov_J, cov_B)
 
 
 def sample_limit_posterior(lp, draws, seed):
@@ -638,19 +625,21 @@ def sample_limit_posterior(lp, draws, seed):
     tail draw may leave the open ball ||A||_2 < 1, and downstream
     consumers evaluate the frame map directly from the rows.
     """
-    draws = int(draws)
-    if draws < 0:
-        raise ConfigError(f"draw count must be >= 0, got {draws}")
+    if not isinstance(draws, Integral) or draws < 0:
+        raise ConfigError(f"need an integer draw count >= 0, got {draws}")
     gen = generator(seed)
     weights = np.array([c.weight for c in lp.components])
     out = np.zeros((draws, lp.d))
     if draws == 0:
         return out
     which = gen.choice(len(lp.components), size=draws, p=weights)
-    # A run of consecutive components of one dimension draws in one pass:
-    # its draws, sorted by component, read the same stream positions as one
-    # standard_normal call per component.  Each component's covariance is
-    # factored in its own coordinate order.
+    # A run of consecutive components of one dimension, so of one size,
+    # draws in one pass: its draws, sorted by component, read the same
+    # stream positions as one standard_normal call per component.  A
+    # component's covariance is cov_J and cov_B at ascending positions with
+    # zeros between, so its lower Cholesky factor is theirs there too.
+    L_J = np.linalg.cholesky(lp.cov_J)
+    L_B = None if lp.cov_B is None else np.linalg.cholesky(lp.cov_B)
     start = 0
     for dim, run in groupby(c.mean.size for c in lp.components):
         stop = start + sum(1 for _ in run)
@@ -661,11 +650,16 @@ def sample_limit_posterior(lp, draws, seed):
         rows = rows[np.argsort(which[rows], kind="stable")]
         used, k = np.unique(which[rows], return_inverse=True)
         comps = [lp.components[j] for j in used]
-        L = np.linalg.cholesky(np.stack([c.cov for c in comps]))
+        pos_J, pos_Z, _ = _positions([c.support for c in comps], lp.active)
         z = gen.standard_normal((rows.size, dim))
-        mean = np.stack([c.mean for c in comps])
+        x = np.stack([c.mean for c in comps])[k]
+        at = np.arange(rows.size)[:, None]
+        x[at, pos_J[k]] += z[at, pos_J[k]] @ L_J.T
+        if pos_Z.shape[1]:
+            at = at[..., None]
+            x[at, pos_Z[k]] += z[at, pos_Z[k]] @ L_B.T
         cols = np.array([c.support.columns for c in comps])
-        out[rows[:, None], cols[k]] = mean[k] + np.einsum("nij,nj->ni", L[k], z)
+        out[rows[:, None], cols[k]] = x
     return out
 
 

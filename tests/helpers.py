@@ -268,14 +268,9 @@ def loop_limit_posterior(Y, model, cap, a_const=1.0):
     """Oracle for spiked.limit_posterior: the dense information of
     dense_information at the dense sample covariance Y Y^T / n, then one
     support at a time, with its own submatrix, Cholesky, solve, matvecs,
-    gamma_mc call and Python-float log weight."""
-    from lowrank_rep.spiked import (
-        LimitPosterior,
-        PosteriorComponent,
-        _enumerate_supports,
-        _log_size_prior,
-        gamma_mc,
-    )
+    gamma_mc call and Python-float log weight.  Returns one
+    (support, weight, mean, covariance) tuple per support."""
+    from lowrank_rep.spiked import _enumerate_supports, _log_size_prior, gamma_mc
 
     theta0 = model.theta0
     n = model.n
@@ -307,19 +302,30 @@ def loop_limit_posterior(Y, model, cap, a_const=1.0):
         covs.append(cov)
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
-    return LimitPosterior(
-        model.p,
-        model.r,
-        tuple(
-            PosteriorComponent(sup, float(wk), mean, cov)
-            for sup, wk, mean, cov in zip(supports, w, means, covs)
-        ),
-    )
+    return list(zip(supports, w.tolist(), means, covs))
+
+
+def component_cov(lp, comp):
+    """The dense covariance of comp's theta_S: lp.cov_J on the active rows'
+    coordinates and mu, lp.cov_B on each other row of the support, zero
+    between, in the coordinate order of comp.support.columns."""
+    from lowrank_rep.spiked import SupportSet
+
+    S = comp.support
+    place = {col: k for k, col in enumerate(S.columns)}
+    cov = np.zeros((S.dim, S.dim))
+    J = [place[col] for col in SupportSet(S.p, S.r, lp.active).columns]
+    cov[np.ix_(J, J)] = lp.cov_J
+    for i in set(S.indices) - set(lp.active):
+        Z = [place[i + b * (S.p - S.r)] for b in range(S.r)]
+        cov[np.ix_(Z, Z)] = lp.cov_B
+    return cov
 
 
 def loop_sample_limit_posterior(lp, draws, seed):
-    """Oracle for spiked.sample_limit_posterior: one Cholesky factor, one
-    standard_normal call and one scatter per component, in component order."""
+    """Oracle for spiked.sample_limit_posterior: one Cholesky factor of the
+    dense component_cov, one standard_normal call and one scatter per
+    component, in component order."""
     gen = generator(seed)
     weights = np.array([c.weight for c in lp.components])
     out = np.zeros((draws, lp.d))
@@ -328,7 +334,7 @@ def loop_sample_limit_posterior(lp, draws, seed):
         rows = np.flatnonzero(which == k)
         if rows.size == 0:
             continue
-        L = np.linalg.cholesky(comp.cov)
+        L = np.linalg.cholesky(component_cov(lp, comp))
         z = gen.standard_normal((rows.size, comp.mean.size))
         out[np.ix_(rows, comp.support.columns)] = comp.mean[None, :] + z @ L.T
     return out

@@ -370,6 +370,7 @@ def test_experiment_rejects_no_kmeans_restarts():
     # refuses the value, and every other bad design scalar, at construction
     faults = [("kmeans_restarts", v) for v in (0, -1)]
     faults += [("sizes", v) for v in (((0, 60),), ((-1, 60),), ())]
+    faults += [("sizes", v) for v in (((100,),), ((100, 60, 5),), (100,))]
     faults += [("replicates", -1), ("sigma2", np.nan), ("noise", "cauchy")]
     # a float, even a whole one, or a NaN is refused, not truncated by int()
     faults += [("sizes", v) for v in (((100.7, 60),), ((100, np.nan),), ((100.0, 60),))]

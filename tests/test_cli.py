@@ -426,7 +426,7 @@ def scattered_components(draw):
     for _ in range(draw(st.integers(1, 4))):
         S = SupportSet(p, r, tuple(draw(st.sets(st.integers(0, p - r - 1)))))
         mean = draw(st.lists(_MEAN_ENTRIES, min_size=S.dim, max_size=S.dim))
-        comps.append(PosteriorComponent(S, 1.0, np.array(mean), np.eye(S.dim)))
+        comps.append(PosteriorComponent(S, 1.0, np.array(mean)))
     return comps, (p - r) * r + r * (r + 1) // 2
 
 
@@ -572,7 +572,7 @@ def _bad_cases():
             cases += [(kind, {key: v}) for v in NONFINITE]
     cases += [(spk, {"mu": v}) for v in NONFINITE]
     cases += [(spk, {"A0": _first_entry(spk, "A0", v)}) for v in NONFINITE]
-    cases += [(spk, {"a_const": v}) for v in NONFINITE]
+    cases += [(spk, {"a_const": v}) for v in NONFINITE + ("1e308",)]
     cases += [(spk, {"min_support0_weight": "nan"}), (spk, {"seed": "-1"})]
     return [
         pytest.param(kind, overrides, id=f"{kind}:{overrides}")

@@ -8,7 +8,10 @@ characterization of the component means, binomial/CLT bands for the Monte
 Carlo pieces, and the analytic bracket plus closed form for the Laplace
 ball mass at a single entry, the dense Cholesky draw of helpers.py for the
 row-sparse data draw, and the per-support loop of helpers.py for the
-stacked limit posterior.
+stacked limit posterior, with the dense component covariances that
+helpers.component_cov scatters from the shared blocks.  Every test here
+fails on a RuntimeWarning, so an overflow or invalid operation in the
+posterior path cannot pass with a NaN.
 """
 
 import math
@@ -65,6 +68,7 @@ from lowrank_rep.symrep import ThetaSym, dsigma, sigma_of_theta
 from helpers import (
     EDGE_NORM,
     chart_points,
+    component_cov,
     dense_cayley_frame,
     dense_cayley_jacobian,
     dense_information,
@@ -83,6 +87,8 @@ from helpers import (
     selector,
     svd_inside_unit_ball,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def canonical_theta():
@@ -137,6 +143,27 @@ def test_model_normalizes_support():
 def test_model_rejects_bad_sample_count():
     with pytest.raises(ConfigError):
         SpikedModel(canonical_theta(), 0, (1, 4))
+
+
+@pytest.mark.parametrize(
+    "site", ["SpikedModel", "sample_data", "sample_limit_posterior", "limit_posterior"]
+)
+def test_spiked_counts_must_be_integers(site):
+    # a float count, even a whole one, or a NaN is refused, not truncated
+    # by int(); numpy integers count as integers
+    model = SpikedModel(canonical_theta(), 100, (1, 4))
+    Y = sample_data(model.theta0, 100, 0)
+    lp = limit_posterior(Y, model, cap=3)
+    count = {
+        "SpikedModel": lambda v: SpikedModel(model.theta0, v, (1, 4)).n,
+        "sample_data": lambda v: sample_data(model.theta0, v, 0).shape[1],
+        "sample_limit_posterior": lambda v: sample_limit_posterior(lp, v, 0).shape[0],
+        "limit_posterior": lambda v: len(limit_posterior(Y, model, cap=v).components),
+    }[site]
+    for bad in (2.5, 3.0, np.nan, "3"):
+        with pytest.raises(ConfigError):
+            count(bad)
+    assert count(np.int64(3)) == count(3)
 
 
 def test_model_holds_only_its_inputs():
@@ -711,7 +738,7 @@ def test_weights_and_covariances_on_random_instances():
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.all(w >= 0.0)
         for comp in lp.components:
-            assert np.linalg.eigvalsh(comp.cov).min() > 0.0
+            assert np.linalg.eigvalsh(component_cov(lp, comp)).min() > 0.0
 
 
 def test_component_mean_solves_whitened_least_squares():
@@ -735,7 +762,8 @@ def test_component_mean_solves_whitened_least_squares():
         lsq = np.linalg.lstsq(Z0S, target, rcond=None)[0]
         assert np.max(np.abs(comp.mean - lsq)) < 1e-9
         info = Z0S.T @ Z0S
-        assert np.max(np.abs(info @ comp.cov - np.eye(comp.support.dim))) < 1e-8
+        cov = component_cov(lp, comp)
+        assert np.max(np.abs(info @ cov - np.eye(comp.support.dim))) < 1e-8
 
 
 def test_posterior_weight_concentrates_on_true_support():
@@ -852,13 +880,13 @@ def test_stacked_posterior_matches_per_support_loop(case):
     _assert_close(_information(theta, Y)[2], score)
     lp = limit_posterior(Y, model, cap, a_const)
     oracle = loop_limit_posterior(Y, model, cap, a_const)
-    assert len(lp.components) == len(oracle.components)
-    for got, want in zip(lp.components, oracle.components):
-        assert got.support == want.support
-        assert abs(got.weight - want.weight) <= 1e-12 * want.weight
+    assert len(lp.components) == len(oracle)
+    for got, (support, weight, mean, cov) in zip(lp.components, oracle):
+        assert got.support == support
+        assert abs(got.weight - weight) <= 1e-12 * weight
         assert type(got.weight) is float
-        _assert_close(got.mean, want.mean)
-        _assert_close(got.cov, want.cov)
+        _assert_close(got.mean, mean)
+        _assert_close(component_cov(lp, got), cov)
 
 
 def test_gamma_mc_runs_once_per_support_size(monkeypatch):
@@ -914,54 +942,43 @@ def test_singular_shared_block_names_support0_holding_a_zero_row():
     with pytest.raises(SingularFisher, match=r"S=\(2, 3, 5\) "):
         spiked._mixture(model, supports, np.eye(3), B, *args)
     model = sparse_r1_model(0)
-    log_w, _, _ = spiked._mixture(
+    log_w, _, _, cov_B = spiked._mixture(
         model, _enumerate_supports(model, 2), np.eye(3), B, *args
     )
     assert log_w.shape == (1,)
+    assert cov_B is None
 
 
-def _posterior(*components):
-    # (support indices, covariance) pairs at p=8, r=1, equal weights
-    return LimitPosterior(
-        8,
-        1,
-        [
-            PosteriorComponent(
-                SupportSet(8, 1, idx), 1.0 / len(components), np.zeros(len(C)), C
-            )
-            for idx, C in components
-        ],
-    )
+def test_posterior_rejects_bad_shared_blocks_and_weights():
+    # p=5, r=2, active row 1: cov_J is 5 x 5 (row 1's two coordinates and
+    # mu), and row 0 of support (0, 1) needs the 2 x 2 cov_B
+    supports = (SupportSet(5, 2, (1,)), SupportSet(5, 2, (0, 1)))
 
+    def posterior(cov_J, cov_B, weights=(0.5, 0.5), supports=supports):
+        comps = [
+            PosteriorComponent(S, w, np.zeros(S.dim)) for S, w in zip(supports, weights)
+        ]
+        return LimitPosterior(comps, (1,), cov_J, cov_B)
 
-def test_posterior_reports_first_non_pd_covariance():
-    not_pd = np.diag([1.0, -1.0, 1.0])
-    with pytest.raises(NotPositiveDefinite, match=r"S=\(1, 2\) not PD"):
-        _posterior(((0, 1), np.eye(3)), ((1, 2), not_pd), ((2, 3), not_pd))
-    # the first failure in component order, whatever the dimension groups
-    asym = np.eye(2) + np.array([[0.0, 1e-9], [0.0, 0.0]])
-    with pytest.raises(NotPositiveDefinite, match=r"S=\(1, 2\) not PD"):
-        _posterior(((0,), np.eye(2)), ((1, 2), not_pd), ((3,), asym))
-    with pytest.raises(NotPositiveDefinite, match="not symmetric"):
-        _posterior(((0,), np.eye(2)), ((3,), asym), ((1, 2), not_pd))
-
-
-def test_posterior_rejects_asymmetric_covariance_in_a_group():
-    asym = np.eye(3)
-    asym[2, 0] = 2e-10
-    with pytest.raises(NotPositiveDefinite, match="not symmetric"):
-        _posterior(((0, 1), np.eye(3)), ((1, 2), asym))
-    # within the 1e-10 tolerance the check passes
-    asym[2, 0] = 5e-11
-    _posterior(((0, 1), np.eye(3)), ((1, 2), asym))
-
-
-def test_posterior_rejects_non_square_covariance():
-    # a covariance that is not a square matrix is reported as not PD, in
-    # component order, before the stacked checks see its shape
-    for bad in (np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))):
-        with pytest.raises(NotPositiveDefinite, match=r"S=\(1, 2\) not PD"):
-            _posterior(((0,), np.eye(2)), ((1, 2), bad), ((3,), np.eye(2)))
+    posterior(np.eye(5), np.eye(2))
+    # with no zero row in any support, cov_B may be None
+    posterior(np.eye(5), None, (1.0,), supports[:1])
+    for name, m in (("cov_J", 5), ("cov_B", 2)):
+        asym = np.eye(m)
+        asym[m - 1, 0] = 2e-10
+        not_pd = np.diag([1.0] * (m - 1) + [-1.0])
+        faults = [asym, not_pd, np.ones(m), np.eye(m)[:, :-1], np.eye(m + 1)]
+        faults += [np.full((m, m), np.nan)] + [None] * (name == "cov_B")
+        for bad in faults:
+            blocks = {"cov_J": np.eye(5), "cov_B": np.eye(2), name: bad}
+            with pytest.raises(NotPositiveDefinite, match=name):
+                posterior(**blocks)
+        # within the 1e-10 tolerance the symmetry check passes
+        asym[m - 1, 0] = 5e-11
+        posterior(**{"cov_J": np.eye(5), "cov_B": np.eye(2), name: asym})
+    for weights in ((np.nan, 1.0), (np.inf, 0.0), (-0.5, 1.5), (0.5, 0.6)):
+        with pytest.raises(ConfigError, match="weights"):
+            posterior(np.eye(5), np.eye(2), weights)
 
 
 def test_enumeration_guard():
@@ -975,6 +992,16 @@ def test_cap_below_true_support_rejected():
     model = SpikedModel(canonical_theta(), 100, (1, 4))
     with pytest.raises(ConfigError):
         limit_posterior(sample_data(model.theta0, 100, 0), model, cap=1)
+
+
+@pytest.mark.parametrize("a_const", [np.nan, np.inf, 1e308, 0.0, -1.0])
+def test_prior_exponent_must_be_finite_and_positive(a_const):
+    # at p - r = 7 a_const = 1e308 overflows log q itself; at p - r = 6
+    # log q is finite, but q^2 underflows for every support of size >= 2
+    for model in (sparse_r1_model(0), SpikedModel(canonical_theta(), 400, (1, 4))):
+        Y = sample_data(model.theta0, model.n, 3)
+        with pytest.raises(ConfigError, match="a_const"):
+            limit_posterior(Y, model, cap=3, a_const=a_const)
 
 
 def test_posterior_rejects_data_of_wrong_shape():
@@ -1002,17 +1029,15 @@ def test_sampler_mean_matches_component():
     comp = lp.components[0]
     draws = sample_limit_posterior(lp, 4000, 55)
     emp = (draws @ selector(comp.support)).mean(axis=0)
-    z = np.abs(emp - comp.mean) / np.sqrt(np.diag(comp.cov) / 4000.0)
+    z = np.abs(emp - comp.mean) / np.sqrt(np.diag(component_cov(lp, comp)) / 4000.0)
     assert np.max(z) < 4.0
 
 
 def test_sampler_component_frequencies():
     S1 = SupportSet(4, 1, (0,))
     S2 = SupportSet(4, 1, (1,))
-    mk = lambda S, w: PosteriorComponent(
-        S, w, np.zeros(S.dim), np.eye(S.dim)
-    )
-    lp = LimitPosterior(4, 1, (mk(S1, 0.3), mk(S2, 0.7)))
+    mk = lambda S, w: PosteriorComponent(S, w, np.zeros(S.dim))
+    lp = LimitPosterior((mk(S1, 0.3), mk(S2, 0.7)), (), np.eye(1), np.eye(1))
     draws = sample_limit_posterior(lp, 5000, 21)
     f1 = float(np.mean(draws[:, 0] != 0.0))
     assert abs(f1 - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / 5000.0)
@@ -1025,10 +1050,10 @@ def test_sampler_matches_per_component_loop():
     lp = limit_posterior(sample_data(model.theta0, model.n, 7), model, cap=4)
     # flatten the weights so that every component draws
     comps = [replace(c, weight=1.0 / len(lp.components)) for c in lp.components]
-    lp = LimitPosterior(lp.p, lp.r, comps)
+    lp = replace(lp, components=comps)
     # runs of one dimension that are not contiguous: 9, 7, 9
-    mixed = LimitPosterior(
-        lp.p, lp.r, [replace(comps[k], weight=1.0 / 3) for k in (1, 0, 3)]
+    mixed = replace(
+        lp, components=[replace(comps[k], weight=1.0 / 3) for k in (1, 0, 3)]
     )
     for post in (lp, mixed):
         got = sample_limit_posterior(post, 3000, 91)

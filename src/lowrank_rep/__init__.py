@@ -22,7 +22,6 @@ from .cayley import (
     cayley_inverse,
     cayley_jacobian,
     cayley_map,
-    gamma_matrix,
     lipschitz_certificate_A,
     taylor_certificate_U,
 )

@@ -34,7 +34,7 @@ from .errors import (
 from .gaussnewton import fit_rect
 from .matkit import vec
 from .mc import Study, StudySize, invsqrt_pd, run_study
-from .rectrep import dsigma_rect, sigma_of_theta_rect, theta_of_sigma_rect
+from .rectrep import dsigma_rect, theta_of_sigma_rect
 from .rngs import generator, substream
 
 __all__ = [
@@ -285,7 +285,7 @@ class BiclusterExperimentConfig:
         sizes = tuple(_study_size(self, m, n) for m, n in self.sizes)
         theta0 = theta_of_sigma_rect(self.Sigma0, self.r)
         G = asymptotic_cov_G(theta0, self.w, self.pi, self.sigma2)
-        return Study(theta0, invsqrt_pd(G), sigma_of_theta_rect, sizes)
+        return Study(theta0, invsqrt_pd(G), sizes)
 
 
 def _study_size(config, m, n):

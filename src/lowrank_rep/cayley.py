@@ -37,8 +37,6 @@ from .errors import (
 from .matkit import (
     _check_frame,
     _read_only,
-    commutation_matrix,
-    kron,
     spectral_norm,
     unvec,
     vec,
@@ -51,7 +49,6 @@ __all__ = [
     "GateNotMet",
     "cayley_map",
     "cayley_inverse",
-    "gamma_matrix",
     "cayley_jacobian",
     "taylor_certificate_U",
     "lipschitz_certificate_A",
@@ -289,21 +286,6 @@ def cayley_inverse(U):
     # A = Q2 (I + Q1)^{-1}; I + Q1 is symmetric PD so the solve is stable.
     A = np.linalg.solve(np.eye(r) + Q1.T, Q2.T).T
     return Phi(p, r, vec(A))
-
-
-def gamma_matrix(p, r):
-    """Constant p^2 x (p - r) r matrix with Gamma vec(A) = vec(X).
-
-    Gamma = (I - K_pp)(E1 kron E2), where E1 selects the first r coordinates
-    and E2 the trailing p - r.  It does not depend on the chart point, and
-    its spectral norm equals sqrt(2) whenever r < p.
-    """
-    if not (1 <= r <= p):
-        raise DimensionMismatch(f"need 1 <= r <= p, got p={p}, r={r}")
-    E1 = np.eye(p)[:, :r]        # Theta_1^T, p x r
-    E2 = np.eye(p)[:, r:]        # Theta_2^T, p x (p - r)
-    G = kron(E1, E2)
-    return G - commutation_matrix(p, p) @ G
 
 
 def cayley_jacobian(phi):

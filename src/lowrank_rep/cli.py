@@ -513,20 +513,17 @@ def _run_bicluster_sim(cfg, seed_override, out_override):
 # =====================================================================
 
 
-def _mean_cells(comp, d):
-    """A component's mean_1..mean_d cells, joined: its support mean in the
-    support's columns and 0 elsewhere, the bytes of the dense product of
-    the d x d_S 0/1 selector with the mean.  That product starts every sum
-    from +0.0, so a -0.0 entry of the mean prints as 0; adding 0.0 does the
-    same here.  The support's columns ascend, so the cells between two of
-    them are one run of '0,'.
+def _mean_cells(cells, columns):
+    """A component's mean_1..mean_d cells, joined: the formatted cells of
+    the posterior's center at the support's columns and 0 elsewhere.  The
+    columns ascend, so the cells between two of them are one run of '0,'.
     """
     parts = []
     prev = -1
-    for col, value in zip(comp.support.columns, (comp.mean + 0.0).tolist()):
-        parts.append("0," * (col - prev - 1) + "%.17g" % value)
+    for col in columns:
+        parts.append("0," * (col - prev - 1) + cells[col])
         prev = col
-    return ",".join(parts) + ",0" * (d - 1 - prev)
+    return ",".join(parts) + ",0" * (len(cells) - 1 - prev)
 
 
 def _run_spiked(cfg, seed_override, out_override):
@@ -581,11 +578,15 @@ def _run_spiked(cfg, seed_override, out_override):
 
     header = ["component", "support", "size", "weight"]
     header += [f"mean_{j + 1}" for j in range(model.d)]
+    # the bytes of the dense product of each support's d x d_S 0/1 selector
+    # with its mean: that product starts every sum from +0.0, so a -0.0
+    # entry prints as 0, and adding 0.0 does the same here
+    center_cells = ["%.17g" % v for v in (lp.center + 0.0).tolist()]
     rows = []
     support0_weight = 0.0
     for idx, comp in enumerate(lp.components):
         support = ";".join(str(j) for j in comp.support.indices)
-        cells = _mean_cells(comp, model.d)
+        cells = _mean_cells(center_cells, comp.support.columns)
         rows.append([idx, support, comp.support.size, comp.weight, cells])
         if comp.support.indices == model.support0:
             support0_weight = float(comp.weight)

@@ -127,12 +127,11 @@ class StudySize:
 
 @dataclass(frozen=True)
 class Study:
-    """True chart point, standardizer W (z = scale W (theta_hat - theta0)),
-    chart-to-matrix map, and one StudySize per data size."""
+    """True chart point, standardizer W (z = scale W (theta_hat - theta0))
+    and one StudySize per data size."""
 
     theta0: object
     standardizer: np.ndarray = field(repr=False)
-    sigma_of_theta: Callable
     sizes: tuple
 
 
@@ -167,7 +166,7 @@ def run_study(study, replicates, base_seed):
                 theta_hat = size.replicate(data, seed, row)
                 delta = theta_hat.as_vector() - theta0_vec
                 row["z"] = size.scale * (study.standardizer @ delta)
-                row["mse_main"] = size.mse(study.sigma_of_theta(theta_hat))
+                row["mse_main"] = size.mse(theta_hat.sigma)
                 row["excluded_flag"] = int(row["aligned_hamming"] > 0)
             except NumericsError:
                 pass  # stays excluded, with the fields recorded so far

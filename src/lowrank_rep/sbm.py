@@ -356,7 +356,7 @@ class SbmExperimentConfig:
         sizes = tuple(_study_size(self, n) for n in self.n_values)
         theta0 = theta_of_sigma(self.Sigma0, self.r)
         J_half = sqrt_psd(asymptotic_cov_J(theta0, self.pi))
-        return Study(theta0, J_half, sigma_of_theta, sizes)
+        return Study(theta0, J_half, sizes)
 
 
 def _study_size(config, n):

@@ -18,7 +18,11 @@ where I_per is the per-sample Fisher information, and the innovation
 feeding the component mean is half the full-sample score at theta0.
 Component covariances then contract at rate 1/n and the Gaussian weight
 exponents grow linearly in n, which is why all weights are assembled in
-log space and normalized after a max shift.
+log space and normalized after a max shift.  Rows of A0 outside its
+active rows are exactly zero, so the information is block diagonal
+(_information returns the blocks and where they sit) and every component's
+mean is one vector, the one-step estimate from theta0, read at its
+support's columns.
 """
 
 import math
@@ -152,11 +156,11 @@ class SupportSet:
 
 @dataclass(frozen=True)
 class PosteriorComponent:
-    """One mixture component: support, weight and mean of theta_S."""
+    """One mixture component: its support and weight.  Its mean is the
+    posterior's center read at support.columns."""
 
     support: SupportSet
     weight: float
-    mean: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -167,13 +171,15 @@ class LimitPosterior:
     zero in A0, so every component's covariance is cov_J on the
     coordinates SupportSet(p, r, active).columns, in that order, and the
     r x r cov_B on the r coordinates of each other row of its support
-    (cov_B is None when no support has such a row).  Off-support
-    coordinates carry a point mass at zero, so a draw is a Gaussian draw in
-    the support's columns and zero elsewhere.
+    (cov_B is None when no support has such a row).  Every component's
+    mean is the length-d center read at its support's columns.
+    Off-support coordinates carry a point mass at zero, so a draw is a
+    Gaussian draw in the support's columns and zero elsewhere.
     """
 
     components: tuple
     active: tuple
+    center: np.ndarray = field(repr=False)
     cov_J: np.ndarray = field(repr=False)
     cov_B: np.ndarray = field(repr=False)
 
@@ -186,6 +192,8 @@ class LimitPosterior:
             raise ConfigError(
                 f"weights must be finite, nonnegative and sum to 1, got {w.sum()!r}"
             )
+        if np.shape(self.center) != (self.d,) or not np.isfinite(self.center).all():
+            raise ConfigError(f"center must be a finite vector of length {self.d}")
         r = self.components[0].support.r
         blocks = [("cov_J", self.cov_J, len(self.active) * r + r * (r + 1) // 2)]
         if self.cov_B is not None or any(
@@ -258,26 +266,6 @@ def log_likelihood(theta, Y):
     return -(n / 2.0) * (p * math.log(2.0 * math.pi) + logdet) - n_trace / 2.0
 
 
-def _active_rows(A):
-    # Rows of A that are not exactly zero.  Each other row moves the frame
-    # in one row only, so its coordinates form their own block of the
-    # Fisher information, the same block for every such row.
-    return tuple(np.flatnonzero(np.any(A != 0.0, axis=1)).tolist())
-
-
-def _block_layout(A):
-    # Where the Fisher's blocks sit in theta at A: the active rows, the
-    # coordinates J of block F_J (the active rows' phi coordinates
-    # column-major, as SupportSet.columns, then mu), and a (z, r) array
-    # whose row holds the r coordinates a + b (p - r) of one zero row a,
-    # the coordinates of one copy of block B.
-    pmr, r = A.shape
-    active = _active_rows(A)
-    cols = SupportSet(pmr + r, r, active).columns
-    zero = np.setdiff1d(np.arange(pmr), active)
-    return active, cols, zero[:, None] + pmr * np.arange(r)
-
-
 def _information(theta, Y=None):
     # Per-sample Fisher (1/2) DSigma^T (K kron K) DSigma and score
     # DSigma^T vec(K (omega_hat - omega) K) at theta, with K = omega^{-1},
@@ -298,11 +286,15 @@ def _information(theta, Y=None):
     # R_k = 0: the row's r coordinates couple to nothing else, and every
     # zero row carries the same block B = 4 G M V M G and the score
     # 4 (C U M)[r+a] G.  The dense Fisher is therefore blockdiag(F_J, I kron
-    # B) up to the order of coordinates, where J holds the phi coordinates
-    # of the active rows and then mu, laid out as _block_layout gives them.
+    # B) up to the order of coordinates.  The layout (active, cols, zc) says
+    # where the blocks sit in theta: the active rows (those not exactly
+    # zero), the coordinates J of F_J (the active rows' phi coordinates
+    # column-major, as SupportSet.columns, then mu), and a (z, r) array
+    # whose row holds the r coordinates a + b (p - r) of one zero row a.
     # With a fixed number of active rows this costs O(p r^2), plus O(p n r)
-    # for the score.  Returns (F_J, B, score); score is None when Y is None.
-    # I + M, F_J, and B when some row is zero, must pass the eigvalsh PD gate.
+    # for the score.  Returns (layout, F_J, B, score); score is None when Y
+    # is None.  I + M, F_J, and B when some row is zero, must pass the
+    # eigvalsh PD gate.
     p, r = theta.p, theta.r
     A = theta.phi.A
     Z = theta.phi.factor
@@ -313,10 +305,13 @@ def _information(theta, Y=None):
     W = M @ V
     MVM = W @ M
     KU = U @ V
-    active = list(_active_rows(A))
+    nonzero = np.any(A != 0.0, axis=1)
+    active = tuple(np.flatnonzero(nonzero).tolist())
+    zc = np.flatnonzero(~nonzero)[:, None] + (p - r) * np.arange(r)
+    layout = (active, SupportSet(p, r, active).columns, zc)
     dup = duplication_matrix(r)
     # X[b, i, k] = dU_k[i, b] for the columns k of the active rows
-    X = _jacobian_columns(A, Z, active).reshape(r, p, -1)
+    X = _jacobian_columns(A, Z, nonzero).reshape(r, p, -1)
     n_J = X.shape[2]
     R = np.einsum("ia,bik->abk", KU, X)
     P = np.einsum("ac,cbk->abk", M, R)
@@ -338,7 +333,7 @@ def _information(theta, Y=None):
             f"I + M or Fisher information has eigenvalue {lam_min:.3e} <= 0"
         )
     if Y is None:
-        return F_J, B, None
+        return layout, F_J, B, None
     # omega K U = U, and K U = U V is zero outside the rows N where U is,
     # so omega_hat K U = Y (Y[N]^T (K U)[N]) / n: no p x p temporary
     rows = np.flatnonzero(U.any(axis=1))
@@ -346,9 +341,9 @@ def _information(theta, Y=None):
     CQ = (DKU - U @ (W @ (U.T @ DKU))) @ M
     score_A = 4.0 * CQ[r:] @ G.T
     score_J = 2.0 * CQ.T.reshape(r * p) @ X.reshape(r * p, n_J)
-    score_A[active] = score_J.reshape(r, -1).T
+    score_A[nonzero] = score_J.reshape(r, -1).T
     score_mu = dup.T @ (KU.T @ DKU).ravel(order="F")
-    return F_J, B, np.concatenate([score_A.ravel(order="F"), score_mu])
+    return layout, F_J, B, np.concatenate([score_A.ravel(order="F"), score_mu])
 
 
 def fisher_spiked(theta0):
@@ -359,8 +354,7 @@ def fisher_spiked(theta0):
     from its blocks: F_J for the active rows of A and mu, and the r x r
     block B at every exactly zero row.
     """
-    F_J, B, _ = _information(theta0)
-    _, cols, zc = _block_layout(theta0.phi.A)
+    (_, cols, zc), F_J, B, _ = _information(theta0)
     F = np.zeros((theta0.d, theta0.d))
     F[np.ix_(cols, cols)] = F_J
     F[zc[:, :, None], zc[:, None, :]] = B
@@ -476,42 +470,30 @@ def _enumerate_supports(model, cap):
     return out
 
 
-def _positions(supports, active):
-    # Where F_J's coordinates and each zero row's sit inside theta_S, for
-    # supports of one size that all hold the active rows: row at place t of
-    # S, column b, sits at t + b |S|, and mu follows at |S| r.  Returns
-    # pos_J (g, n_J) in F_J's order, pos_Z (g, z, r) and the zero rows
-    # rows_Z (g, z); each position list ascends.
-    size, r, g = supports[0].size, supports[0].r, len(supports)
-    idx = np.array([s.indices for s in supports], dtype=np.intp).reshape(g, size)
-    is_active = (idx[..., None] == np.array(active, dtype=np.intp)).any(axis=-1)
-    t = np.nonzero(is_active)[1].reshape(g, 1, -1) + size * np.arange(r)[:, None]
-    mu = np.arange(size * r, supports[0].dim)
-    pos_J = np.hstack([t.reshape(g, -1), np.broadcast_to(mu, (g, mu.size))])
-    pos_Z = np.nonzero(~is_active)[1].reshape(g, -1, 1) + size * np.arange(r)
-    return pos_J, pos_Z, idx[~is_active].reshape(g, -1)
-
-
-def _mixture(model, supports, F_J, B, half_score, log_size_prior):
-    """Log weights and means of the components over supports, and the two
-    covariance blocks they share.
+def _mixture(model, supports, layout, F_J, B, half_score, log_size_prior):
+    """Log weights of the components over supports, the center their means
+    are read from, and the two covariance blocks they share.
 
     Every support holds the active rows of A0 (the rows that are not exactly
     zero, all inside support0) and the core; each of its other rows is
     exactly zero.  So I_S is blockdiag(n F_J, I kron n B) up to the order of
-    its coordinates, and every component shares (n F_J)^{-1} and
-    (n B)^{-1}: a zero row's mean is (n B)^{-1} h_a for its slice h_a of
-    the half score, and logdet I_S = logdet(n F_J) + z logdet(n B) with z
-    the number of zero rows in S.  The supports come in ascending size, and
-    each size runs as one vectorized pass that places the blocks' means at
-    the positions _positions gives.  A SingularFisher names the first
-    support, in enumeration order, whose information is not PD.  Returns
-    (log_w, means, cov_J, cov_B) with one entry of means per support;
-    cov_B is None when no support has a zero row.
+    its coordinates, as the layout from _information places the blocks, and
+    every component shares (n F_J)^{-1} and (n B)^{-1}.  Each component's
+    mean is therefore one vector read at its support's columns: the center
+    theta0 + blockdiag((n F_J)^{-1}, I kron (n B)^{-1}) h, the one-step
+    estimate from theta0 for the half score h, which at a zero row a is
+    m_a = h_a (n B)^{-1}.  logdet I_S = logdet(n F_J) + z logdet(n B) with
+    z the number of zero rows in S, and the quadratic term adds m_a n B m_a
+    over those rows to the F_J block's.  The supports come in ascending
+    size, and each size runs as one vectorized pass over its supports' zero
+    rows.  A SingularFisher names the first support, in enumeration order,
+    whose information is not PD.  Returns (log_w, center, cov_J, cov_B);
+    cov_B is None when no support has a zero row, and center then holds
+    theta0's zeros at the zero rows.
     """
     n, r = model.n, model.r
     pmr = model.p - r
-    active, cols, _ = _block_layout(model.theta0.phi.A)
+    active, cols, zc = layout
     info_J, info_B = n * F_J, n * B
     log_2pi = math.log(2.0 * math.pi)
     try:
@@ -522,8 +504,9 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
         ) from exc
     cov_J = np.linalg.solve(info_J, np.eye(len(cols)))
     cov_J = 0.5 * (cov_J + cov_J.T)
-    mean_J = model.theta0.as_vector()[cols] + cov_J @ half_score[cols]
-    quad_J = float(mean_J @ info_J @ mean_J)
+    center = model.theta0.as_vector()
+    center[cols] += cov_J @ half_score[cols]
+    quad_J = float(center[cols] @ info_J @ center[cols])
     logdet_J = 2.0 * float(np.log(np.diag(L_J)).sum())
     first_zero = next((s for s in supports if s.size > len(active)), None)
     cov_B = None
@@ -537,23 +520,21 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
         logdet_B = 2.0 * float(np.log(np.diag(L_B)).sum())
         cov_B = np.linalg.solve(info_B, np.eye(r))
         cov_B = 0.5 * (cov_B + cov_B.T)
-        # row a of mean_rows is the mean of zero row a; A0 is zero there
-        mean_rows = half_score[: pmr * r].reshape(r, pmr).T @ cov_B
-        quad_rows = np.einsum("ai,ij,aj->a", mean_rows, info_B, mean_rows)
+        # A0 is zero at the zero rows, so their center is m_a alone
+        m = half_score[zc] @ cov_B
+        center[zc] = m
+        quad_rows = np.zeros(pmr)
+        quad_rows[zc[:, 0]] = np.einsum("ai,ij,aj->a", m, info_B, m)
     log_w = np.empty(len(supports))
-    means = []
     start = 0
     for size, run in groupby(sup.size for sup in supports):
         stop = start + sum(1 for _ in run)
-        pos_J, pos_Z, rows_Z = _positions(supports[start:stop], active)
         g, z, dim = stop - start, size - len(active), supports[start].dim
-        at = np.arange(g)[:, None]
-        mean = np.empty((g, dim))
-        mean[at, pos_J] = mean_J
         quad = np.full(g, quad_J)
         logdet = logdet_J
         if z:
-            mean[at[..., None], pos_Z] = mean_rows[rows_Z]
+            idx = np.array([s.indices for s in supports[start:stop]])
+            rows_Z = idx[~np.isin(idx, active)].reshape(g, z)
             quad += quad_rows[rows_Z].sum(axis=1)
             logdet += z * logdet_B
         gamma_est, _ = gamma_mc(size, r)
@@ -569,9 +550,8 @@ def _mixture(model, supports, F_J, B, half_score, log_size_prior):
             - math.log(gamma_est)
         )
         log_w[start:stop] = log_prior + 0.5 * (dim * log_2pi - logdet) + 0.5 * quad
-        means.extend(mean)
         start = stop
-    return log_w, means, cov_J, cov_B
+    return log_w, center, cov_J, cov_B
 
 
 def limit_posterior(Y, model, cap, a_const=1.0):
@@ -584,7 +564,8 @@ def limit_posterior(Y, model, cap, a_const=1.0):
     vec(Om0^{-1}(Y Y^T / n - Om0) Om0^{-1}), and its log weight combines
     the support prior, the gamma normalizer, and the Gaussian evidence
     (1/2)(d_S log 2pi - logdet I_S) + (1/2) mean^T I_S mean.  Every
-    component shares the two covariance blocks of LimitPosterior.
+    component shares the two covariance blocks of LimitPosterior, and its
+    mean is the posterior's center at the support's columns.
     """
     if not 0.0 < a_const < math.inf:
         raise ConfigError(f"need a finite prior exponent a_const > 0, got {a_const}")
@@ -593,11 +574,12 @@ def limit_posterior(Y, model, cap, a_const=1.0):
         raise DimensionMismatch(
             f"data shape {Y.shape} needs {model.p} rows and a column"
         )
-    F_J, B, score = _information(model.theta0, Y)
+    layout, F_J, B, score = _information(model.theta0, Y)
     supports = _enumerate_supports(model, cap)
-    log_w, means, cov_J, cov_B = _mixture(
+    log_w, center, cov_J, cov_B = _mixture(
         model,
         supports,
+        layout,
         F_J,
         B,
         0.5 * model.n * score,
@@ -610,11 +592,8 @@ def limit_posterior(Y, model, cap, a_const=1.0):
         )
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
-    components = tuple(
-        PosteriorComponent(sup, wk, mean)
-        for sup, wk, mean in zip(supports, w.tolist(), means)
-    )
-    return LimitPosterior(components, _active_rows(model.theta0.phi.A), cov_J, cov_B)
+    components = tuple(map(PosteriorComponent, supports, w.tolist()))
+    return LimitPosterior(components, layout[0], center, cov_J, cov_B)
 
 
 def sample_limit_posterior(lp, draws, seed):
@@ -638,10 +617,14 @@ def sample_limit_posterior(lp, draws, seed):
     # stream positions as one standard_normal call per component.  A
     # component's covariance is cov_J and cov_B at ascending positions with
     # zeros between, so its lower Cholesky factor is theirs there too.
+    # S.columns ascend, so inside theta_S F_J's coordinates come in F_J's
+    # order, and the others hold column b of each zero row, b-major.
     L_J = np.linalg.cholesky(lp.cov_J)
     L_B = None if lp.cov_B is None else np.linalg.cholesky(lp.cov_B)
+    S0 = lp.components[0].support
+    cols_J = SupportSet(S0.p, S0.r, lp.active).columns
     start = 0
-    for dim, run in groupby(c.mean.size for c in lp.components):
+    for _, run in groupby(len(c.support.indices) for c in lp.components):
         stop = start + sum(1 for _ in run)
         rows = np.flatnonzero((which >= start) & (which < stop))
         start = stop
@@ -649,16 +632,17 @@ def sample_limit_posterior(lp, draws, seed):
             continue
         rows = rows[np.argsort(which[rows], kind="stable")]
         used, k = np.unique(which[rows], return_inverse=True)
-        comps = [lp.components[j] for j in used]
-        pos_J, pos_Z, _ = _positions([c.support for c in comps], lp.active)
-        z = gen.standard_normal((rows.size, dim))
-        x = np.stack([c.mean for c in comps])[k]
+        cols = np.array([lp.components[j].support.columns for j in used])
+        in_J = np.isin(cols, cols_J)
+        pos_J = np.nonzero(in_J)[1].reshape(used.size, -1)
+        pos_Z = np.nonzero(~in_J)[1].reshape(used.size, S0.r, -1).swapaxes(1, 2)
+        z = gen.standard_normal((rows.size, cols.shape[1]))
+        x = lp.center[cols][k]
         at = np.arange(rows.size)[:, None]
         x[at, pos_J[k]] += z[at, pos_J[k]] @ L_J.T
         if pos_Z.shape[1]:
             at = at[..., None]
             x[at, pos_Z[k]] += z[at, pos_Z[k]] @ L_B.T
-        cols = np.array([c.support.columns for c in comps])
         out[rows[:, None], cols[k]] = x
     return out
 
@@ -684,11 +668,10 @@ def lan_remainder(theta, theta0, Y):
         raise DimensionMismatch("chart points live on different (p, r)")
     diff = log_likelihood(theta, Y) - log_likelihood(theta0, Y)
     n = Y.shape[1]
-    F_J, B, g = _information(theta0, Y)
+    (_, cols, zc), F_J, B, g = _information(theta0, Y)
     delta = theta.as_vector() - theta0.as_vector()
     # delta^T I_per delta from the blocks: the active coordinates against
     # F_J, each zero row's r coordinates against B
-    _, cols, zc = _block_layout(theta0.phi.A)
     delta_J, rows = delta[cols], delta[zc]
     quad = delta_J @ F_J @ delta_J + np.einsum("ai,ij,aj->", rows, B, rows)
     return diff - (n / 2.0) * float(g @ delta) + (n / 2.0) * float(quad)
@@ -724,18 +707,21 @@ def lan_remainder_study(theta0, n_values, replicates, base_seed):
     Replicate seeds are reused across sample sizes (common random
     numbers).
     """
+    if not isinstance(replicates, Integral) or replicates < 1 or not len(n_values):
+        raise ConfigError(f"need sample sizes and replicates >= 1, got {replicates}")
     v0 = theta0.as_vector()
     medians = []
     for n in n_values:
         vals = []
-        for i in range(int(replicates)):
+        for i in range(replicates):
             seed = replicate_seed(base_seed, i)
+            # drawn first: sample_data refuses an n that is not an integer >= 1
+            Y = sample_data(theta0, n, seed)
             u = substream(seed, 5).standard_normal(v0.size)
             u /= np.linalg.norm(u)
             theta = ThetaSym.from_vector(
                 theta0.p, theta0.r, v0 + u / math.sqrt(n)
             )
-            Y = sample_data(theta0, n, seed)
             vals.append(abs(lan_remainder(theta, theta0, Y)))
         medians.append(float(np.median(vals)))
     return medians
@@ -759,14 +745,16 @@ def sin_theta_tail_study(
     visible as mass leaving a fixed ball as n grows.  Dataset seeds are
     shared across sample sizes.
     """
-    n_ref = min(n_values)
+    n_ref = min(n_values, default=0)
+    if not isinstance(datasets, Integral) or min(datasets, n_ref) < 1:
+        raise ConfigError(f"need sample sizes and datasets >= 1, got {datasets}")
     U0 = model.theta0.phi.frame.matrix
     s = max(len(model.support0), 1)
     fractions = []
     for n in n_values:
-        model_n = replace(model, n=int(n))
+        model_n = replace(model, n=n)
         all_draws = []
-        for i in range(int(datasets)):
+        for i in range(datasets):
             seed = replicate_seed(base_seed, i)
             Y = sample_data(model.theta0, n, seed)
             lp = limit_posterior(Y, model_n, cap)

@@ -25,7 +25,7 @@ from lowrank_rep import (
     Phi,
     ThetaRect,
     ThetaSym,
-    gamma_matrix,
+    commutation_matrix,
     kron,
     sigma_of_theta,
     vech,
@@ -132,6 +132,20 @@ def dense_cayley_frame(phi, scale):
     eye = np.eye(phi.p)
     Z = np.linalg.solve(eye - X, eye[:, : phi.r])
     return Z + X @ Z
+
+
+def gamma_matrix(p, r):
+    """Constant p^2 x (p - r) r matrix with Gamma vec(A) = vec(X), the
+    skew embedding of a chart point.
+
+    Gamma = (I - K_pp)(E1 kron E2), where E1 selects the first r coordinates
+    and E2 the trailing p - r.  It does not depend on the chart point, and
+    its spectral norm equals sqrt(2) whenever r < p.
+    """
+    E1 = np.eye(p)[:, :r]  # Theta_1^T, p x r
+    E2 = np.eye(p)[:, r:]  # Theta_2^T, p x (p - r)
+    G = kron(E1, E2)
+    return G - commutation_matrix(p, p) @ G
 
 
 def dense_cayley_jacobian(phi):
@@ -335,8 +349,9 @@ def loop_sample_limit_posterior(lp, draws, seed):
         if rows.size == 0:
             continue
         L = np.linalg.cholesky(component_cov(lp, comp))
-        z = gen.standard_normal((rows.size, comp.mean.size))
-        out[np.ix_(rows, comp.support.columns)] = comp.mean[None, :] + z @ L.T
+        cols = comp.support.columns
+        z = gen.standard_normal((rows.size, len(cols)))
+        out[np.ix_(rows, cols)] = lp.center[cols][None, :] + z @ L.T
     return out
 
 

@@ -16,7 +16,6 @@ from lowrank_rep import (
     cayley_map,
     dsigma,
     dsigma_rect,
-    gamma_matrix,
     lipschitz_certificate_A,
     sigma_of_theta,
     sigma_of_theta_rect,
@@ -40,6 +39,7 @@ from helpers import (
     dense_cayley_jacobian,
     edge_point,
     fd_jacobian,
+    gamma_matrix,
     random_phi,
     rng,
     skew_embed,

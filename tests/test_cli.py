@@ -5,7 +5,8 @@ Every test but the bad-value table and the zero-gamma case shells out to
 codes, and the CSV contract are all exercised through the real entry point.
 Those two call `cli.run` in-process, so that an exception escaping it fails
 the test rather than showing up as exit status 1, the status of a failed
-gate.
+gate.  A RuntimeWarning raised in this process fails the test that raised
+it.
 """
 
 import contextlib
@@ -24,9 +25,11 @@ from hypothesis import strategies as st
 import lowrank_rep
 from lowrank_rep import cayley, cli
 from lowrank_rep.rngs import substream
-from lowrank_rep.spiked import PosteriorComponent, SupportSet
+from lowrank_rep.spiked import SupportSet
 
 from helpers import selector
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # the child imports the same package as this process, installed or not
 PACKAGE_ROOT = str(Path(lowrank_rep.__file__).resolve().parents[1])
@@ -419,24 +422,29 @@ _MEAN_ENTRIES = st.one_of(
 
 @st.composite
 def scattered_components(draw):
-    """(components, d): up to four components of one (p, r), r in 1..3."""
+    """(center, supports): a center of one (p, r), r in 1..3, and up to
+    four supports."""
     r = draw(st.integers(1, 3))
     p = draw(st.integers(r + 1, 9))
-    comps = []
-    for _ in range(draw(st.integers(1, 4))):
-        S = SupportSet(p, r, tuple(draw(st.sets(st.integers(0, p - r - 1)))))
-        mean = draw(st.lists(_MEAN_ENTRIES, min_size=S.dim, max_size=S.dim))
-        comps.append(PosteriorComponent(S, 1.0, np.array(mean)))
-    return comps, (p - r) * r + r * (r + 1) // 2
+    d = (p - r) * r + r * (r + 1) // 2
+    center = np.array(draw(st.lists(_MEAN_ENTRIES, min_size=d, max_size=d)))
+    supports = [
+        SupportSet(p, r, tuple(draw(st.sets(st.integers(0, p - r - 1)))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return center, supports
 
 
 @given(scattered_components())
 @settings(max_examples=200, deadline=None)
 def test_scattered_means_match_selector_product(case):
-    comps, d = case
-    for comp in comps:
-        cells = cli._mean_cells(comp, d)
-        dense = selector(comp.support) @ comp.mean
+    # each row's cells, joined from the center's cells as the spiked job
+    # formats them, are the bytes of the selector times the support mean
+    center, supports = case
+    center_cells = ["%.17g" % v for v in (center + 0.0).tolist()]
+    for S in supports:
+        cells = cli._mean_cells(center_cells, S.columns)
+        dense = selector(S) @ center[S.columns]
         assert cells == ",".join("%.17g" % v for v in dense)
         assert "-0" not in cells.split(",")
 

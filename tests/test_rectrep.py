@@ -11,7 +11,6 @@ from lowrank_rep import (
     cayley_map,
     commutation_matrix,
     dsigma_rect,
-    gamma_matrix,
     kron,
     regularity_bound_rect,
     sigma_of_theta_rect,
@@ -27,6 +26,7 @@ from helpers import (
     dense_cayley_jacobian,
     edge_point,
     fd_jacobian,
+    gamma_matrix,
     random_phi,
     random_theta_rect,
     rng,

@@ -508,7 +508,7 @@ def test_score_matches_dense_dsigma(point):
     phi, gen = point
     theta = ThetaSym(phi, vech(random_core_sym(gen, phi.r, pd=True)))
     Y = gen.normal(size=(phi.p, 2 * phi.p))
-    _, _, got = _information(theta, Y)
+    *_, got = _information(theta, Y)
     direct = _dense_score(theta, Y @ Y.T / (2 * phi.p))
     assert np.linalg.norm(got - direct) <= 1e-13 * np.linalg.norm(direct)
 
@@ -528,15 +528,17 @@ def test_fisher_and_score_match_dense_oracle_at_p48():
     theta = model.theta0
     omega = omega_of_theta(theta)
     Y, omega_hat = sample_gaussian(omega, model.n, 0)
-    F_J, B, score = _information(theta, Y)
+    (active, cols, zc), F_J, B, score = _information(theta, Y)
     D = dsigma(theta)
     K = np.linalg.inv(omega)
     direct = 0.5 * D.T @ kron(K, K) @ D
     F = fisher_spiked(theta)
     assert np.linalg.norm(F - direct) <= 1e-13 * np.linalg.norm(direct)
-    # the blocks sit in F as they came: F_J at the active rows (1, 4) and
-    # mu, B at every zero row
-    cols = SupportSet(48, 2, (1, 4)).columns
+    # the blocks sit in F as they came, where the layout says: F_J at the
+    # active rows (1, 4) and mu, B at every zero row
+    assert active == (1, 4)
+    assert cols == SupportSet(48, 2, (1, 4)).columns
+    assert zc.shape == (44, 2) and zc[5].tolist() == [7, 53]
     assert np.array_equal(F[np.ix_(cols, cols)], F_J)
     assert np.array_equal(F[np.ix_([7, 53], [7, 53])], B)
     direct = _dense_score(theta, omega_hat)
@@ -725,7 +727,7 @@ def test_zero_innovation_centers_every_component_at_truth():
     v0 = model.theta0.as_vector()
     for comp in lp.components:
         expected = selector(comp.support).T @ v0
-        assert np.max(np.abs(comp.mean - expected)) <= 1e-12
+        assert np.max(np.abs(lp.center[comp.support.columns] - expected)) <= 1e-12
 
 
 def test_weights_and_covariances_on_random_instances():
@@ -760,7 +762,7 @@ def test_component_mean_solves_whitened_least_squares():
     for comp in lp.components:
         Z0S = Z0 @ selector(comp.support)
         lsq = np.linalg.lstsq(Z0S, target, rcond=None)[0]
-        assert np.max(np.abs(comp.mean - lsq)) < 1e-9
+        assert np.max(np.abs(lp.center[comp.support.columns] - lsq)) < 1e-9
         info = Z0S.T @ Z0S
         cov = component_cov(lp, comp)
         assert np.max(np.abs(info @ cov - np.eye(comp.support.dim))) < 1e-8
@@ -877,7 +879,7 @@ def test_stacked_posterior_matches_per_support_loop(case):
     theta = model.theta0
     F, score = dense_information(theta, omega_of_theta(theta), Y @ Y.T / model.n)
     _assert_close(fisher_spiked(theta), F)
-    _assert_close(_information(theta, Y)[2], score)
+    _assert_close(_information(theta, Y)[3], score)
     lp = limit_posterior(Y, model, cap, a_const)
     oracle = loop_limit_posterior(Y, model, cap, a_const)
     assert len(lp.components) == len(oracle)
@@ -885,8 +887,20 @@ def test_stacked_posterior_matches_per_support_loop(case):
         assert got.support == support
         assert abs(got.weight - weight) <= 1e-12 * weight
         assert type(got.weight) is float
-        _assert_close(got.mean, mean)
+        _assert_close(lp.center[support.columns], mean)
         _assert_close(component_cov(lp, got), cov)
+
+
+def test_center_is_the_one_step_estimate():
+    # every coordinate of the center, on the active rows, mu and each zero
+    # row, is the one-step estimate theta0 + F^{-1} g / 2 for the dense
+    # per-sample Fisher F and score g; the step itself agrees to 1e-12
+    model = workload_model(12)
+    theta = model.theta0
+    Y = sample_data(theta, model.n, 7)
+    lp = limit_posterior(Y, model, cap=4)
+    F, g = dense_information(theta, omega_of_theta(theta), Y @ Y.T / model.n)
+    _assert_close(lp.center - theta.as_vector(), np.linalg.solve(F, g) / 2.0)
 
 
 def test_gamma_mc_runs_once_per_support_size(monkeypatch):
@@ -925,6 +939,7 @@ def test_singular_information_names_first_failing_support(bad_row, first):
         spiked._mixture(
             model,
             supports,
+            _information(model.theta0)[0],
             F_J,
             B,
             np.zeros(model.d),
@@ -937,28 +952,31 @@ def test_singular_shared_block_names_support0_holding_a_zero_row():
     # itself; with cap = |support0| and no zero row, B is never factored
     model = replace(sparse_r1_model(0), support0=(2, 3, 5))
     supports = _enumerate_supports(model, 3)
+    layout = _information(model.theta0)[0]
     B = -np.eye(1)
     args = (np.zeros(model.d), _log_size_prior(model.p, model.r, 1.0, model.n))
     with pytest.raises(SingularFisher, match=r"S=\(2, 3, 5\) "):
-        spiked._mixture(model, supports, np.eye(3), B, *args)
+        spiked._mixture(model, supports, layout, np.eye(3), B, *args)
     model = sparse_r1_model(0)
-    log_w, _, _, cov_B = spiked._mixture(
-        model, _enumerate_supports(model, 2), np.eye(3), B, *args
+    log_w, center, _, cov_B = spiked._mixture(
+        model, _enumerate_supports(model, 2), layout, np.eye(3), B, *args
     )
     assert log_w.shape == (1,)
     assert cov_B is None
+    # with no zero row in any support, the center keeps theta0's zeros there
+    assert np.array_equal(center, model.theta0.as_vector())
 
 
 def test_posterior_rejects_bad_shared_blocks_and_weights():
     # p=5, r=2, active row 1: cov_J is 5 x 5 (row 1's two coordinates and
-    # mu), and row 0 of support (0, 1) needs the 2 x 2 cov_B
+    # mu), and row 0 of support (0, 1) needs the 2 x 2 cov_B; the center
+    # has length d = 9
     supports = (SupportSet(5, 2, (1,)), SupportSet(5, 2, (0, 1)))
 
-    def posterior(cov_J, cov_B, weights=(0.5, 0.5), supports=supports):
-        comps = [
-            PosteriorComponent(S, w, np.zeros(S.dim)) for S, w in zip(supports, weights)
-        ]
-        return LimitPosterior(comps, (1,), cov_J, cov_B)
+    def posterior(cov_J, cov_B, weights=(0.5, 0.5), supports=supports, center=None):
+        comps = map(PosteriorComponent, supports, weights)
+        center = np.zeros(9) if center is None else center
+        return LimitPosterior(comps, (1,), center, cov_J, cov_B)
 
     posterior(np.eye(5), np.eye(2))
     # with no zero row in any support, cov_B may be None
@@ -979,6 +997,11 @@ def test_posterior_rejects_bad_shared_blocks_and_weights():
     for weights in ((np.nan, 1.0), (np.inf, 0.0), (-0.5, 1.5), (0.5, 0.6)):
         with pytest.raises(ConfigError, match="weights"):
             posterior(np.eye(5), np.eye(2), weights)
+    nan_at_1, inf_at_8 = np.zeros(9), np.zeros(9)
+    nan_at_1[1], inf_at_8[8] = np.nan, -np.inf
+    for center in (np.zeros(8), np.zeros(10), np.zeros((1, 9)), nan_at_1, inf_at_8):
+        with pytest.raises(ConfigError, match="center"):
+            posterior(np.eye(5), np.eye(2), center=center)
 
 
 def test_enumeration_guard():
@@ -1029,15 +1052,15 @@ def test_sampler_mean_matches_component():
     comp = lp.components[0]
     draws = sample_limit_posterior(lp, 4000, 55)
     emp = (draws @ selector(comp.support)).mean(axis=0)
-    z = np.abs(emp - comp.mean) / np.sqrt(np.diag(component_cov(lp, comp)) / 4000.0)
-    assert np.max(z) < 4.0
+    sd = np.sqrt(np.diag(component_cov(lp, comp)) / 4000.0)
+    assert np.max(np.abs(emp - lp.center[comp.support.columns]) / sd) < 4.0
 
 
 def test_sampler_component_frequencies():
     S1 = SupportSet(4, 1, (0,))
     S2 = SupportSet(4, 1, (1,))
-    mk = lambda S, w: PosteriorComponent(S, w, np.zeros(S.dim))
-    lp = LimitPosterior((mk(S1, 0.3), mk(S2, 0.7)), (), np.eye(1), np.eye(1))
+    comps = (PosteriorComponent(S1, 0.3), PosteriorComponent(S2, 0.7))
+    lp = LimitPosterior(comps, (), np.zeros(4), np.eye(1), np.eye(1))
     draws = sample_limit_posterior(lp, 5000, 21)
     f1 = float(np.mean(draws[:, 0] != 0.0))
     assert abs(f1 - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / 5000.0)
@@ -1204,3 +1227,34 @@ def test_tail_study_decreases_with_sample_size():
     )
     assert fractions[0] > fractions[1] > fractions[2]
     assert fractions[0] > 0.1
+
+
+@pytest.mark.parametrize("study", ["lan_remainder_study", "sin_theta_tail_study"])
+def test_study_counts_and_sizes_must_be_integers(study):
+    # a replicate or dataset count that is not an integer >= 1, or no
+    # sample size at all, is refused before any work, not truncated by
+    # int() or left to np.median, np.vstack or min; a sample size that is
+    # not an integer >= 1 is refused at that size
+    model = SpikedModel(canonical_theta(), 100, (1, 4))
+    run = {
+        "lan_remainder_study": lambda ns, k: lan_remainder_study(
+            model.theta0, ns, k, 0
+        ),
+        "sin_theta_tail_study": lambda ns, k: sin_theta_tail_study(
+            model, ns, 1.2, 3, 10, k, 0
+        ),
+    }[study]
+    for ns, k in (
+        ([100], 2.5),
+        ([100], 3.0),
+        ([100], np.nan),
+        ([100], 0),
+        ([100], "3"),
+        ([], 1),
+        ([100.0], 1),
+        ([100, 0], 1),
+        ([np.nan], 1),
+    ):
+        with pytest.raises(ConfigError):
+            run(ns, k)
+    assert len(run(np.array([100, 200]), np.int64(1))) == 2

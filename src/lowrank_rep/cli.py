@@ -513,17 +513,23 @@ def _run_bicluster_sim(cfg, seed_override, out_override):
 # =====================================================================
 
 
-def _mean_cells(cells, columns):
-    """A component's mean_1..mean_d cells, joined: the formatted cells of
-    the posterior's center at the support's columns and 0 elsewhere.  The
-    columns ascend, so the cells between two of them are one run of '0,'.
-    """
-    parts = []
-    prev = -1
-    for col in columns:
-        parts.append("0," * (col - prev - 1) + cells[col])
-        prev = col
-    return ",".join(parts) + ",0" * (len(cells) - 1 - prev)
+def _mean_cells(center, supports):
+    """Each support's mean_1..mean_d cells, joined: the center's cells at
+    the support's columns and 0 elsewhere.  The columns ascend, so the
+    cells between two of them are one run of '0,'."""
+    # the bytes of the dense product of each support's d x d_S 0/1 selector
+    # with its mean: that product starts every sum from +0.0, so a -0.0
+    # entry prints as 0, and adding 0.0 does the same here
+    cells = ["%.17g" % v for v in (center + 0.0).tolist()]
+    out = []
+    for S in supports:
+        parts = []
+        prev = -1
+        for col in S.columns:
+            parts.append("0," * (col - prev - 1) + cells[col])
+            prev = col
+        out.append(",".join(parts) + ",0" * (len(cells) - 1 - prev))
+    return out
 
 
 def _run_spiked(cfg, seed_override, out_override):
@@ -578,16 +584,12 @@ def _run_spiked(cfg, seed_override, out_override):
 
     header = ["component", "support", "size", "weight"]
     header += [f"mean_{j + 1}" for j in range(model.d)]
-    # the bytes of the dense product of each support's d x d_S 0/1 selector
-    # with its mean: that product starts every sum from +0.0, so a -0.0
-    # entry prints as 0, and adding 0.0 does the same here
-    center_cells = ["%.17g" % v for v in (lp.center + 0.0).tolist()]
+    means = _mean_cells(lp.center, [c.support for c in lp.components])
     rows = []
     support0_weight = 0.0
     for idx, comp in enumerate(lp.components):
         support = ";".join(str(j) for j in comp.support.indices)
-        cells = _mean_cells(center_cells, comp.support.columns)
-        rows.append([idx, support, comp.support.size, comp.weight, cells])
+        rows.append([idx, support, comp.support.size, comp.weight, means[idx]])
         if comp.support.indices == model.support0:
             support0_weight = float(comp.weight)
     top = max(lp.components, key=lambda c: c.weight)

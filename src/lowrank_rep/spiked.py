@@ -708,7 +708,7 @@ def lan_remainder_study(theta0, n_values, replicates, base_seed):
     numbers).
     """
     if not isinstance(replicates, Integral) or replicates < 1 or not len(n_values):
-        raise ConfigError(f"need sample sizes and replicates >= 1, got {replicates}")
+        raise ConfigError(f"need replicates, sizes >= 1: {replicates=}, {n_values=}")
     v0 = theta0.as_vector()
     medians = []
     for n in n_values:
@@ -747,7 +747,7 @@ def sin_theta_tail_study(
     """
     n_ref = min(n_values, default=0)
     if not isinstance(datasets, Integral) or min(datasets, n_ref) < 1:
-        raise ConfigError(f"need sample sizes and datasets >= 1, got {datasets}")
+        raise ConfigError(f"need datasets, sizes >= 1: {datasets=}, {n_values=}")
     U0 = model.theta0.phi.frame.matrix
     s = max(len(model.support0), 1)
     fractions = []

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lowrank_rep
@@ -436,14 +436,16 @@ def scattered_components(draw):
 
 
 @given(scattered_components())
+# a -0.0 at every column: each must print as 0, as in the selector product
+@example(
+    (np.array([-0.0, -0.0, -0.0]), [SupportSet(3, 1, (1,)), SupportSet(3, 1, ())])
+)
 @settings(max_examples=200, deadline=None)
 def test_scattered_means_match_selector_product(case):
     # each row's cells, joined from the center's cells as the spiked job
     # formats them, are the bytes of the selector times the support mean
     center, supports = case
-    center_cells = ["%.17g" % v for v in (center + 0.0).tolist()]
-    for S in supports:
-        cells = cli._mean_cells(center_cells, S.columns)
+    for S, cells in zip(supports, cli._mean_cells(center, supports), strict=True):
         dense = selector(S) @ center[S.columns]
         assert cells == ",".join("%.17g" % v for v in dense)
         assert "-0" not in cells.split(",")

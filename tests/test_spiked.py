@@ -1257,4 +1257,7 @@ def test_study_counts_and_sizes_must_be_integers(study):
     ):
         with pytest.raises(ConfigError):
             run(ns, k)
+    # the message names the input at fault, not a count that is fine
+    with pytest.raises(ConfigError, match=r"n_values=\[\]"):
+        run([], 1)
     assert len(run(np.array([100, 200]), np.int64(1))) == 2
